@@ -22,6 +22,7 @@ from .integrity import validate
 from .lockfile import (
     DEFAULT_LOCKFILE_NAME,
     EnvironmentMetadata,
+    Lockfile,
     LockfileConfig,
     generate_lockfile,
     parse_lockfile,
@@ -30,6 +31,7 @@ from .lockfile import (
 )
 from .project import ProjectModule, load_project
 from .repo import MavenRepository, RepositoryConfig
+from .session import Session
 
 EXIT_OK = 0
 EXIT_VALIDATION_FAILED = 1
@@ -92,15 +94,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _repository(args) -> MavenRepository:
+def _repository(args) -> Session:
+    """The command's one session: every module reads the same repository snapshot."""
     urls = tuple(args.repo_url) if args.repo_url else (DEFAULT_REMOTE,)
     local = Path(args.local_repo) if args.local_repo else Path.home() / ".m2" / "repository"
-    return MavenRepository(RepositoryConfig(
+    return Session(MavenRepository(RepositoryConfig(
         remote_base_urls=() if args.offline else urls,
         local_repo_root=local,
         offline=args.offline,
         timeout=args.timeout,
-    ))
+    )))
 
 
 def _lockfile_config(args) -> LockfileConfig:
@@ -134,39 +137,32 @@ def _emit(args, text_lines: list[str], machine_doc: dict) -> None:
             print(line)
 
 
-def _generate_in_memory(args, repo) -> list[tuple[ProjectModule, bytes]]:
+def _generate_in_memory(args, repo) -> list[tuple[ProjectModule, Lockfile, bytes]]:
     config = _lockfile_config(args)
     environment = _environment(args) if args.include_environment else None
     modules = load_project(Path(args.project), repo)
 
-    def run(module: ProjectModule) -> tuple[ProjectModule, bytes]:
+    def run(module: ProjectModule) -> tuple[ProjectModule, Lockfile, bytes]:
         try:
             lock = generate_lockfile(module.effective, config, repo,
                                      environment=environment)
         except MvnlockError as exc:
             raise MvnlockError(f"module {module.rel_path}: {exc}") from exc
-        return module, serialize(lock)
+        return module, lock, serialize(lock)
 
     return _for_each_module(modules, run, args.workers)
-
-
-def _walk_entries(entries):
-    for entry in entries:
-        yield entry
-        yield from _walk_entries(entry["children"])
 
 
 def cmd_generate(args) -> int:
     repo = _repository(args)
     results = _generate_in_memory(args, repo)
     lines, docs = [], []
-    for module, payload in results:
+    for module, lock, payload in results:
         target = module.directory / args.lockfile_name
         target.write_bytes(payload)
-        doc = json.loads(payload)
-        total = sum(1 for _ in _walk_entries(doc["dependencies"]))
+        total = len(lock.flattened())
         lines.append(f"generated {module.rel_path}/{args.lockfile_name} "
-                     f"({total} dependencies, {len(doc['dependencies'])} direct)")
+                     f"({total} dependencies, {len(lock.dependencies)} direct)")
         docs.append({"module": module.rel_path, "path": str(target),
                      "gav": str(module.gav), "dependencies": total})
     _emit(args, lines, {"command": "generate", "modules": docs})
@@ -246,7 +242,7 @@ def cmd_ci_check(args) -> int:
     repo = _repository(args)
     results = _generate_in_memory(args, repo)
     updated = []
-    for module, payload in results:
+    for module, _, payload in results:
         target = module.directory / args.lockfile_name
         if not target.is_file() or target.read_bytes() != payload:
             updated.append((module, target, payload))

@@ -29,6 +29,21 @@ class FrozenPom:
     source_lockfile_digest: str = field(default="", compare=False)
 
 
+def _occurrence_scopes(forest: list[LockedDependency]) -> dict[tuple[str, str], list[str]]:
+    """Every recorded scope per (group, artifact), in forest order."""
+    table: dict[tuple[str, str], list[str]] = {}
+    for entry in iter_entries(forest):
+        table.setdefault(entry.ga, []).append(entry.scope)
+    return table
+
+
+def _pin_scope(ga: tuple[str, str], occurrences: dict[tuple[str, str], list[str]]) -> str:
+    scopes = occurrences.get(ga)
+    if not scopes:
+        raise MvnlockError(f"internal error: {ga[0]}:{ga[1]} not present in forest")
+    return mediate_scope(scopes)
+
+
 def scope_for_pin(ga: tuple[str, str], forest: list[LockedDependency]) -> str:
     """Scope a managed pin should carry for an artifact present in the forest.
 
@@ -36,10 +51,7 @@ def scope_for_pin(ga: tuple[str, str], forest: list[LockedDependency]) -> str:
     pin is test-scoped only when every occurrence in the forest is; otherwise
     the highest-precedence non-test scope wins (compile > runtime > provided).
     """
-    scopes = [entry.scope for entry in iter_entries(forest) if entry.ga == ga]
-    if not scopes:
-        raise MvnlockError(f"internal error: {ga[0]}:{ga[1]} not present in forest")
-    return mediate_scope(scopes)
+    return _pin_scope(ga, _occurrence_scopes(forest))
 
 
 def freeze(pom: PomModel, lockfile: Lockfile) -> FrozenPom:
@@ -63,8 +75,10 @@ def freeze(pom: PomModel, lockfile: Lockfile) -> FrozenPom:
             )
         overrides[decl.ga] = locked.version
 
+    # one occurrence table for all pins, not one scan of the forest per pin
+    occurrences = _occurrence_scopes(lockfile.dependencies)
     pins = sorted(
-        (e.ga[0], e.ga[1], e.version, scope_for_pin(e.ga, lockfile.dependencies))
+        (e.ga[0], e.ga[1], e.version, _pin_scope(e.ga, occurrences))
         for e in lockfile.flattened()
         if not e.direct
     )

@@ -28,6 +28,7 @@ from .pom import EffectivePom, Gav
 from .project import load_project
 from .repo import ALGORITHMS, ChecksumRecord, MavenRepository
 from .resolver import ResolvedNode, resolve
+from .session import session_of
 
 LOCKFILE_VERSION = 1
 DEFAULT_LOCKFILE_NAME = "lockfile.json"
@@ -211,11 +212,16 @@ def _guarded(fn):
 def generate_all(project_root: Path, config: LockfileConfig, repo: MavenRepository,
                  environment: EnvironmentMetadata | None = None,
                  max_workers: int = 4) -> list[tuple[str, Lockfile]]:
-    """One lockfile per module, root included (aggregators lock an empty forest)."""
+    """One lockfile per module, root included (aggregators lock an empty forest).
+
+    All modules read the repository through one session, so they share a
+    single snapshot of it.
+    """
+    session = session_of(repo)
     results = []
-    for module in load_project(project_root, repo):
+    for module in load_project(project_root, session):
         try:
-            lock = generate_lockfile(module.effective, config, repo,
+            lock = generate_lockfile(module.effective, config, session,
                                      environment=environment, max_workers=max_workers)
         except GenerationError as exc:
             raise GenerationError(f"module {module.rel_path}: {exc}") from exc

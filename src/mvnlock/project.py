@@ -7,6 +7,7 @@ from pathlib import Path
 
 from .errors import NotFoundError, ParentResolutionError, PomModelError
 from .pom import EffectivePom, Gav, PomModel, effective_pom, parse_pom
+from .session import session_of
 
 
 @dataclass
@@ -56,12 +57,13 @@ def load_project(root: Path, repo=None) -> list[ProjectModule]:
     visit(".", root)
 
     local_poms = {_raw_gav(model): model for _, _, model in raw}
+    session = session_of(repo) if repo is not None else None
 
     def parent_loader(gav: Gav) -> PomModel:
         if gav in local_poms:
             return local_poms[gav]
-        if repo is not None:
-            return parse_pom(repo.fetch_pom(gav))
+        if session is not None:
+            return session.pom_model(gav)
         raise ParentResolutionError(f"parent {gav} not found in project", gav)
 
     return [

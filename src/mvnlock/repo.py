@@ -85,6 +85,18 @@ def parse_checksum_text(text: str, algorithm: str, mode: str) -> ChecksumRecord:
     return ChecksumRecord(algorithm=algorithm, digest=token.lower(), mode=mode)
 
 
+def _atomic_write(path: Path, data: bytes) -> None:
+    # temp-then-rename keeps concurrent fills of the same coordinate safe
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def _is_missing(error: urllib.error.URLError) -> bool:
     if isinstance(error, urllib.error.HTTPError):
         return error.code == 404
@@ -123,18 +135,12 @@ class MavenRepository:
     def _write_cache(self, rel_path: str, data: bytes, source: str | None) -> Path:
         path = self._cache_path(rel_path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        # temp-then-rename keeps concurrent fills of the same coordinate safe
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+        # the marker lands first: whoever sees the artifact also sees its source,
+        # and a crash between the two leaves no artifact to misattribute
         if source is not None:
-            marker = path.parent / (path.name + _SOURCE_SUFFIX)
-            marker.write_text(source + "\n", encoding="utf-8")
+            _atomic_write(path.parent / (path.name + _SOURCE_SUFFIX),
+                          (source + "\n").encode("utf-8"))
+        _atomic_write(path, data)
         return path
 
     def _ensure_cached(self, rel_path: str) -> Path:
@@ -210,7 +216,12 @@ class MavenRepository:
         return parse_checksum_text(data.decode("utf-8", "replace"), algorithm, "remote"), base
 
     def list_versions(self, group_id: str, artifact_id: str) -> list[str]:
-        """Published versions, ascending. Always refetched when online."""
+        """Published versions, ascending.
+
+        Online, every call refetches the metadata and rewrites its cached copy.
+        A run that must see one snapshot reads through a ``Session``, which
+        calls this once per (group, artifact).
+        """
         rel = metadata_rel_path(group_id, artifact_id)
         if self.config.offline:
             cached = self._cache_path(rel)

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import EmptyRangeError, MvnlockError, ResolutionError
-from .pom import DependencyDecl, EffectivePom, Gav, VersionSpec, effective_pom, parse_pom
+from .pom import DependencyDecl, EffectivePom, Gav, VersionSpec
+from .session import session_of
 from .versions import compare_versions, max_version
 
 # transitive scope table: rows keyed by the scope of the edge into the parent,
@@ -129,41 +130,27 @@ class ResolvedTree:
         return mediate_scope(occ[node.ga])
 
 
-def resolve(
-    pom: EffectivePom,
-    repo,
-    include_test: bool = True,
-    pom_loader: Callable[[Gav], EffectivePom] | None = None,
-) -> ResolvedTree:
+def resolve(pom: EffectivePom, repo, include_test: bool = True) -> ResolvedTree:
     """Resolve the complete dependency tree of an effective manifest.
 
     ``repo`` supplies node manifests (fetch_pom) and version listings
-    (list_versions). ``pom_loader`` overrides how node manifests are turned
-    into effective models, mainly for tests.
+    (list_versions). Pass a ``Session`` to share listings and manifest models
+    with the other modules of a run; any other repository handle gets a
+    session of its own for this call.
     """
+    session = session_of(repo)
     root_gav = pom.coordinates
     root_dm = {d.ga: d for d in pom.dependency_management}
     warnings: list[str] = []
     winners: dict[tuple[str, str], ResolvedNode] = {}
-    effective_cache: dict[Gav, EffectivePom] = {}
 
     def load_effective(gav: Gav, path: tuple[Gav, ...]) -> EffectivePom:
-        if gav in effective_cache:
-            return effective_cache[gav]
         try:
-            if pom_loader is not None:
-                model = pom_loader(gav)
-            else:
-                parsed = parse_pom(repo.fetch_pom(gav))
-                model = effective_pom(
-                    parsed, parent_loader=lambda g: parse_pom(repo.fetch_pom(g))
-                )
+            return session.effective_model(gav)
         except MvnlockError as exc:
             raise ResolutionError(
                 f"cannot load manifest of {gav}: {exc}", gav=gav, path=path
             ) from exc
-        effective_cache[gav] = model
-        return model
 
     def concrete_version(decl: DependencyDecl, managed: DependencyDecl | None,
                          path: tuple[Gav, ...]) -> str:
@@ -178,7 +165,7 @@ def resolve(
         if spec.kind == "soft-pin":
             return spec.pin
         try:
-            available = repo.list_versions(decl.group_id, decl.artifact_id)
+            available = session.list_versions(decl.group_id, decl.artifact_id)
         except MvnlockError as exc:
             raise ResolutionError(
                 f"cannot list versions of {decl.group_id}:{decl.artifact_id}: {exc}",

@@ -11,7 +11,7 @@ insignificant (1.0.0 == 1). Comparison is case-insensitive.
 from __future__ import annotations
 
 import re
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 from typing import Iterable
 
 LESS = -1
@@ -50,23 +50,27 @@ def _token_key(token: str) -> tuple:
     return (0, rank, token if rank == _UNKNOWN_RANK else "")
 
 
-def _keys(version: str) -> list[tuple]:
+@lru_cache(maxsize=1 << 16)
+def _keys(version: str) -> tuple[tuple, ...]:
     keys = [_token_key(t) for t in tokenize(version)]
     # trailing zeros/release markers carry no ordering weight: 1.0.0 == 1
     while keys and keys[-1] == _RELEASE_KEY:
         keys.pop()
-    return keys
+    return tuple(keys)
 
 
 def compare_versions(a: str, b: str) -> int:
     """Return -1, 0, or 1 ordering version ``a`` against ``b``. Total function."""
     ka, kb = _keys(a), _keys(b)
-    for i in range(max(len(ka), len(kb))):
-        xa = ka[i] if i < len(ka) else _RELEASE_KEY
-        xb = kb[i] if i < len(kb) else _RELEASE_KEY
-        if xa != xb:
-            return LESS if xa < xb else GREATER
-    return EQUAL
+    # the shorter key is padded with release markers, never compared as a prefix:
+    # a prefix would rank 1 below 1.0-alpha, padding ranks it above
+    if len(ka) < len(kb):
+        ka += (_RELEASE_KEY,) * (len(kb) - len(ka))
+    elif len(kb) < len(ka):
+        kb += (_RELEASE_KEY,) * (len(ka) - len(kb))
+    if ka == kb:
+        return EQUAL
+    return LESS if ka < kb else GREATER
 
 
 def sorted_versions(versions: Iterable[str]) -> list[str]:

@@ -209,6 +209,23 @@ class TestConcurrency:
         assert client.source_of(GSON) == builder.url
 
 
+    def test_source_visible_when_artifact_lands(self, repo, monkeypatch):
+        import os
+
+        builder, client = repo
+        real_replace = os.replace
+        seen = []
+
+        def replace_then_look(src, dst):
+            real_replace(src, dst)
+            if str(dst).endswith(".jar"):
+                seen.append(client.source_of(GSON))
+
+        monkeypatch.setattr(os, "replace", replace_then_look)
+        client.fetch_artifact(GSON)
+        assert seen == [builder.url]
+
+
 class TestCacheCoherence:
     def test_identical_bytes_after_fill(self, repo, tmp_path):
         builder, client = repo

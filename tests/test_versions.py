@@ -4,8 +4,17 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mvnlock.versions import compare_versions, max_version, sorted_versions
+from mvnlock.versions import (
+    _RELEASE_KEY,
+    _token_key,
+    compare_versions,
+    max_version,
+    sorted_versions,
+    tokenize,
+)
 
 VECTORS = json.loads(
     (Path(__file__).parent / "data" / "version_order_vectors.json").read_text()
@@ -61,3 +70,42 @@ def test_sorted_and_max():
     shuffled = ["2.0", "1.0", "1.5", "1.0-SNAPSHOT"]
     assert sorted_versions(shuffled) == ["1.0-SNAPSHOT", "1.0", "1.5", "2.0"]
     assert max_version(shuffled) == "2.0"
+
+
+def reference_compare(a, b):
+    """Unmemoized token-by-token comparison, padding the shorter side with releases."""
+    def keys(version):
+        out = [_token_key(t) for t in tokenize(version)]
+        while out and out[-1] == _RELEASE_KEY:
+            out.pop()
+        return out
+
+    ka, kb = keys(a), keys(b)
+    for i in range(max(len(ka), len(kb))):
+        xa = ka[i] if i < len(ka) else _RELEASE_KEY
+        xb = kb[i] if i < len(kb) else _RELEASE_KEY
+        if xa != xb:
+            return -1 if xa < xb else 1
+    return 0
+
+
+VERSION_PARTS = ["1", "2", "10", "0", "003", "alpha", "beta", "rc", "sp", "snapshot",
+                 "milestone", "foo", "x2y", "FINAL", "Alpha1", "RC2"]
+versions_st = st.builds(
+    lambda sep, parts: sep.join(parts),
+    st.sampled_from(".-"),
+    st.lists(st.sampled_from(VERSION_PARTS), min_size=1, max_size=5),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(versions_st, min_size=1, max_size=12))
+def test_sorted_and_max_agree_with_compare(versions):
+    ordered = sorted_versions(versions)
+    assert sorted(ordered) == sorted(versions)
+    for i, j in itertools.combinations(range(len(ordered)), 2):
+        assert compare_versions(ordered[i], ordered[j]) <= 0, (ordered[i], ordered[j])
+    top = max_version(versions)
+    assert all(compare_versions(top, v) >= 0 for v in versions)
+    for a, b in itertools.product(versions, repeat=2):
+        assert compare_versions(a, b) == reference_compare(a, b), (a, b)
