@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
-from .errors import MvnlockError
+from .errors import MvnlockError, OfflineError
 from .freezer import FROZEN_POM_NAME, emit_frozen_xml, freeze
 from .integrity import validate
 from .lockfile import (
@@ -182,9 +182,15 @@ def cmd_validate(args) -> int:
         if not lock_path.is_file():
             raise MvnlockError(f"module {module.rel_path}: missing {args.lockfile_name}")
         lock = parse_lockfile(lock_path.read_bytes())
+        override = getattr(args, "override_checksum_mode", None)
+        if (args.offline and (override or lock.config.checksum_mode) == "remote"
+                and (lock.dependencies or lock.plugins)):
+            raise OfflineError(
+                f"module {module.rel_path}: {lock_path} records checksum mode 'remote', "
+                "which needs remote access; to check it offline against the local "
+                "cache, pass --override-checksum-mode local")
         report = validate(module.effective, lock, repo,
-                          current_environment=environment,
-                          override_mode=getattr(args, "override_checksum_mode", None))
+                          current_environment=environment, override_mode=override)
         return module, report
 
     results = _for_each_module(modules, run, args.workers)

@@ -1,11 +1,12 @@
 """Artifact repository client: remote fetches, local cache, checksums.
 
-Remote repositories are anything urllib can GET with standard repository
-layout underneath — https:// for real registries, file:// for offline
-fixtures. The local cache mirrors the remote layout so it can double as a
-pre-populated build cache. Cache fills are write-to-temp + atomic rename,
-and each fill records the serving base URL in a provenance sidecar so the
-recorded package source is stable across reruns.
+Remote repositories use the standard repository layout. ``file:`` URLs on
+this host (offline mirrors and fixtures) are read by path; http(s) and any
+other scheme go through urllib, imported on first use. The local cache
+mirrors the remote layout so it can double as a pre-populated build cache.
+Cache fills are write-to-temp + atomic rename, and each fill records the
+serving base URL in a provenance sidecar so the recorded package source is
+stable across reruns.
 """
 
 from __future__ import annotations
@@ -14,11 +15,10 @@ import hashlib
 import os
 import re
 import tempfile
-import urllib.error
-import urllib.request
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
+from urllib.parse import unquote, urlsplit
 
 from .errors import (
     ChecksumUnavailableError,
@@ -34,6 +34,7 @@ from .versions import sorted_versions
 ALGORITHMS = {"sha1": 40, "sha256": 64, "sha512": 128}
 _HEX_RE = re.compile(r"^[0-9a-f]+$")
 _SOURCE_SUFFIX = ".source"
+_MISSING = (FileNotFoundError, IsADirectoryError, NotADirectoryError)
 
 
 @dataclass(frozen=True)
@@ -97,10 +98,34 @@ def _atomic_write(path: Path, data: bytes) -> None:
             os.unlink(tmp)
 
 
-def _is_missing(error: urllib.error.URLError) -> bool:
-    if isinstance(error, urllib.error.HTTPError):
-        return error.code == 404
-    return isinstance(error.reason, (FileNotFoundError, IsADirectoryError, NotADirectoryError))
+def _read_or_none(path: str | Path) -> bytes | None:
+    """The file's bytes, or None when no file is there."""
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
+    except _MISSING:
+        return None
+
+
+def _get(url: str, timeout: float) -> bytes | None:
+    """The bytes at url, or None when nothing is there; other failures raise OSError."""
+    parts = urlsplit(url)
+    if parts.scheme == "file" and parts.netloc in ("", "localhost"):
+        return _read_or_none(unquote(parts.path))
+    # http.client, ssl and email load only for a repository that needs them
+    import urllib.error
+    import urllib.request
+    try:
+        with urllib.request.urlopen(url, timeout=timeout) as response:
+            return response.read()
+    except urllib.error.HTTPError as exc:
+        if exc.code == 404:
+            return None
+        raise
+    except urllib.error.URLError as exc:
+        if isinstance(exc.reason, _MISSING):
+            return None
+        raise
 
 
 class MavenRepository:
@@ -124,12 +149,11 @@ class MavenRepository:
         for base in self.config.remote_base_urls:
             url = base.rstrip("/") + "/" + rel_path
             try:
-                with urllib.request.urlopen(url, timeout=self.config.timeout) as response:
-                    return response.read(), base
-            except urllib.error.URLError as exc:
-                if _is_missing(exc):
-                    continue
+                data = _get(url, self.config.timeout)
+            except OSError as exc:
                 raise TransportError(f"fetching {url}: {exc}") from exc
+            if data is not None:
+                return data, base
         raise NotFoundError(f"{rel_path} not found in any configured repository")
 
     def _write_cache(self, rel_path: str, data: bytes, source: str | None) -> Path:
@@ -213,14 +237,21 @@ class MavenRepository:
             raise ChecksumUnavailableError(
                 f"no {algorithm} checksum published for {gav}", gav=gav
             ) from exc
-        return parse_checksum_text(data.decode("utf-8", "replace"), algorithm, "remote"), base
+        try:
+            record = parse_checksum_text(data.decode("utf-8", "replace"), algorithm, "remote")
+        except IntegrityFormatError as exc:
+            raise IntegrityFormatError(
+                f"{gav}: bad checksum at {base.rstrip('/')}/{rel}: {exc}", gav=gav
+            ) from exc
+        return record, base
 
     def list_versions(self, group_id: str, artifact_id: str) -> list[str]:
         """Published versions, ascending.
 
-        Online, every call refetches the metadata and rewrites its cached copy.
-        A run that must see one snapshot reads through a ``Session``, which
-        calls this once per (group, artifact).
+        Online, every call refetches the metadata and writes its cached copy
+        only when that copy is missing or differs. A run that must see one
+        snapshot reads through a ``Session``, which calls this once per
+        (group, artifact).
         """
         rel = metadata_rel_path(group_id, artifact_id)
         if self.config.offline:
@@ -230,7 +261,8 @@ class MavenRepository:
             data = cached.read_bytes()
         else:
             data, _ = self._fetch_remote(rel)
-            if self._cache_path(rel) is not None:
+            cached = self._cache_path(rel)
+            if cached is not None and _read_or_none(cached) != data:
                 self._write_cache(rel, data, None)
         try:
             root = ET.fromstring(data)

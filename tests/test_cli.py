@@ -39,6 +39,18 @@ class TestGenerate:
         assert code == 2
         assert "org.acme" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sidecar", ["garbage\n", ""])
+    def test_bad_published_sidecar_names_artifact(self, single_fixture, capsys, sidecar):
+        single_fixture.repo.artifact_path("com.google.code.gson", "gson", "2.13.2",
+                                          "jar.sha512").write_text(sidecar)
+        code = run(single_fixture, "generate", "--checksum-mode", "remote",
+                   "--checksum-algorithm", "sha512")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "com.google.code.gson:gson:2.13.2" in err
+        assert "gson-2.13.2.jar.sha512" in err
+        assert not (single_fixture.project_root / "lockfile.json").exists()
+
     def test_multi_module_files(self, tmp_path):
         fixture = build_aggregator(tmp_path)
         assert run(fixture, "generate") == 0
@@ -205,6 +217,20 @@ class TestOfflineAndWorkers:
             "--local-repo", str(single_fixture.cache_root),
             "--offline",
         ]) == 0
+
+    def test_offline_validate_of_remote_mode_says_what_to_do(self, single_fixture, capsys):
+        assert run(single_fixture, "generate", "--checksum-mode", "remote") == 0
+        offline = ["validate", "--project", str(single_fixture.project_root),
+                   "--local-repo", str(single_fixture.cache_root), "--offline"]
+        capsys.readouterr()
+        assert main(offline) == 2
+        err = capsys.readouterr().err
+        assert "module ." in err
+        assert str(single_fixture.project_root / "lockfile.json") in err
+        assert "--override-checksum-mode local" in err
+        # the advice works once the jars are cached, which remote mode does not do
+        assert run(single_fixture, "generate", "--lockfile-name", "fill.json") == 0
+        assert main([*offline, "--override-checksum-mode", "local"]) == 0
 
     def test_parallel_modules_ordered_and_identical(self, tmp_path, capsys):
         fixture = build_aggregator(tmp_path)

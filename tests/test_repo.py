@@ -1,14 +1,23 @@
 import hashlib
+import os
+import re
+import socket
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mvnlock
+import mvnlock.repo as repo_module
 from conftest import RepoBuilder
+from mvnlock.cli import main
 from mvnlock.errors import (
     ChecksumUnavailableError,
     IntegrityFormatError,
     NotFoundError,
     OfflineError,
+    TransportError,
 )
 from mvnlock.pom import Gav
 from mvnlock.repo import (
@@ -196,6 +205,30 @@ class TestVersionListing:
         builder.add("org.acme", "text", "1.7")
         assert "1.7" in client.list_versions("org.acme", "text")
 
+    def test_cached_metadata_written_only_when_changed(self, repo, tmp_path, monkeypatch):
+        builder, client = repo
+        rel = metadata_rel_path("org.acme", "text")
+        client.list_versions("org.acme", "text")
+        real_replace = os.replace
+        replaced = []
+
+        def counting_replace(src, dst):
+            replaced.append(str(dst))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", counting_replace)
+        assert client.list_versions("org.acme", "text") == ["1.0", "1.5", "2.0"]
+        assert replaced == []
+
+        builder.add("org.acme", "text", "1.7")
+        assert client.list_versions("org.acme", "text") == ["1.0", "1.5", "1.7", "2.0"]
+        assert replaced == [str(tmp_path / "cache" / rel)]
+        assert (tmp_path / "cache" / rel).read_bytes() == (builder.root / rel).read_bytes()
+        offline = MavenRepository(RepositoryConfig(
+            remote_base_urls=(), local_repo_root=tmp_path / "cache", offline=True,
+        ))
+        assert offline.list_versions("org.acme", "text") == ["1.0", "1.5", "1.7", "2.0"]
+
 
 class TestConcurrency:
     def test_concurrent_fills_do_not_corrupt_cache(self, repo):
@@ -251,3 +284,98 @@ class TestCacheCoherence:
             path.write_bytes(bytes(data))
             after = client.checksum_local(GSON).digest
             assert after != before
+
+
+class TestTransport:
+    def test_cli_import_loads_no_network_stack(self):
+        probe = ("import sys, mvnlock.cli; print(sorted(m for m in "
+                 "('urllib.request', 'http.client', 'ssl', 'email') if m in sys.modules))")
+        env = {**os.environ, "PYTHONPATH": str(Path(mvnlock.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                             text=True, check=True, env=env)
+        assert out.stdout.strip() == "[]"
+
+    def test_file_url_forms_read_the_same_bytes(self, tmp_path, monkeypatch):
+        builder = RepoBuilder(tmp_path / "re mote")
+        builder.add("com.google.code.gson", "gson", "2.13.2")
+        (tmp_path / "remote").symlink_to("re mote")
+        expected = builder.artifact_path("com.google.code.gson", "gson", "2.13.2").read_bytes()
+        plain = (tmp_path / "remote").as_posix()
+        monkeypatch.chdir(tmp_path)
+        forms = [
+            "file://" + plain,
+            "file://localhost" + plain,
+            builder.url,  # percent-encoded space
+            "file:remote",
+            "file:re%20mote/",
+        ]
+        assert "%20" in builder.url
+        for n, base in enumerate(forms):
+            client = MavenRepository(RepositoryConfig(
+                remote_base_urls=(base,), local_repo_root=tmp_path / f"cache{n}",
+            ))
+            assert client.fetch_artifact(GSON).read_bytes() == expected, base
+            assert client.source_of(GSON) == base
+            assert client.checksum_remote(GSON).digest == hashlib.sha256(expected).hexdigest()
+
+    def test_miss_falls_through_to_next_repository(self, repo, tmp_path):
+        builder, _ = repo
+        empty = RepoBuilder(tmp_path / "empty")
+        client = MavenRepository(RepositoryConfig(
+            remote_base_urls=(empty.url, builder.url), local_repo_root=tmp_path / "cache2",
+        ))
+        client.fetch_artifact(GSON)
+        assert client.source_of(GSON) == builder.url
+        assert client.checksum_remote_with_source(GSON)[1] == builder.url
+
+    def test_directory_in_place_of_file_is_a_miss(self, repo, tmp_path):
+        builder, _ = repo
+        shadow = RepoBuilder(tmp_path / "shadow")
+        shadow.artifact_path("com.google.code.gson", "gson", "2.13.2").mkdir(parents=True)
+        alone = MavenRepository(RepositoryConfig(
+            remote_base_urls=(shadow.url,), local_repo_root=tmp_path / "cache2",
+        ))
+        with pytest.raises(NotFoundError):
+            alone.fetch_artifact(GSON)
+        client = MavenRepository(RepositoryConfig(
+            remote_base_urls=(shadow.url, builder.url), local_repo_root=tmp_path / "cache3",
+        ))
+        client.fetch_artifact(GSON)
+        assert client.source_of(GSON) == builder.url
+
+    def test_read_error_is_transport_error_naming_url(self, single_fixture, monkeypatch,
+                                                      capsys):
+        # tests may run as root, where chmod cannot make a file unreadable
+        real_open = open
+
+        def failing_open(file, *args, **kwargs):
+            if str(file).endswith(".jar"):
+                raise PermissionError(13, "Permission denied", file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(repo_module, "open", failing_open, raising=False)
+        url = single_fixture.repo.url + "/" + artifact_rel_path(GSON)
+        with pytest.raises(TransportError, match=re.escape(url)):
+            single_fixture.repository().fetch_artifact(GSON)
+        assert main(["generate", "--project", str(single_fixture.project_root),
+                     "--repo-url", single_fixture.repo.url,
+                     "--local-repo", str(single_fixture.cache_root)]) == 2
+        assert "fetching file:" in capsys.readouterr().err
+        assert not (single_fixture.project_root / "lockfile.json").exists()
+
+    def test_file_url_on_another_host_goes_through_urllib(self, single_fixture,
+                                                          monkeypatch, capsys):
+        looked_up = []
+
+        def no_lookup(host, *args):
+            looked_up.append(host)
+            raise socket.gaierror(socket.EAI_NONAME, "name lookups are disabled here")
+
+        monkeypatch.setattr(socket, "gethostbyname", no_lookup)
+        monkeypatch.setattr(socket, "gethostbyname_ex", no_lookup)
+        base = "file://otherhost" + single_fixture.repo.root.as_posix()
+        assert main(["generate", "--project", str(single_fixture.project_root),
+                     "--repo-url", base,
+                     "--local-repo", str(single_fixture.cache_root)]) == 2
+        assert "otherhost" in looked_up
+        assert "fetching " + base in capsys.readouterr().err
