@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -24,12 +23,12 @@ from .lockfile import (
     EnvironmentMetadata,
     Lockfile,
     LockfileConfig,
-    generate_lockfile,
+    generate_all,
     parse_lockfile,
     probe_environment,
     serialize,
 )
-from .project import ProjectModule, load_project
+from .project import ProjectModule, for_each_module, load_project
 from .repo import MavenRepository, RepositoryConfig
 from .session import Session
 
@@ -121,14 +120,6 @@ def _environment(args) -> EnvironmentMetadata:
                              maven_version=args.env_maven)
 
 
-def _for_each_module(modules: list[ProjectModule], worker, workers: int) -> list:
-    """Apply worker to every module, results in declaration order."""
-    if workers <= 1 or len(modules) <= 1:
-        return [worker(m) for m in modules]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, modules))
-
-
 def _emit(args, text_lines: list[str], machine_doc: dict) -> None:
     if args.format == "machine":
         print(json.dumps(machine_doc, indent=2))
@@ -137,34 +128,24 @@ def _emit(args, text_lines: list[str], machine_doc: dict) -> None:
             print(line)
 
 
-def _generate_in_memory(args, repo) -> list[tuple[ProjectModule, Lockfile, bytes]]:
-    config = _lockfile_config(args)
+def _generate(args) -> list[tuple[str, Lockfile, Path, bytes]]:
+    """Every module's lockfile, its target path and its bytes, in module order."""
     environment = _environment(args) if args.include_environment else None
-    modules = load_project(Path(args.project), repo)
-
-    def run(module: ProjectModule) -> tuple[ProjectModule, Lockfile, bytes]:
-        try:
-            lock = generate_lockfile(module.effective, config, repo,
-                                     environment=environment)
-        except MvnlockError as exc:
-            raise MvnlockError(f"module {module.rel_path}: {exc}") from exc
-        return module, lock, serialize(lock)
-
-    return _for_each_module(modules, run, args.workers)
+    results = generate_all(Path(args.project), _lockfile_config(args), _repository(args),
+                           environment=environment, workers=args.workers)
+    return [(rel, lock, Path(args.project) / rel / args.lockfile_name, serialize(lock))
+            for rel, lock in results]
 
 
 def cmd_generate(args) -> int:
-    repo = _repository(args)
-    results = _generate_in_memory(args, repo)
     lines, docs = [], []
-    for module, lock, payload in results:
-        target = module.directory / args.lockfile_name
+    for rel, lock, target, payload in _generate(args):
         target.write_bytes(payload)
         total = len(lock.flattened())
-        lines.append(f"generated {module.rel_path}/{args.lockfile_name} "
+        lines.append(f"generated {rel}/{args.lockfile_name} "
                      f"({total} dependencies, {len(lock.dependencies)} direct)")
-        docs.append({"module": module.rel_path, "path": str(target),
-                     "gav": str(module.gav), "dependencies": total})
+        docs.append({"module": rel, "path": str(target),
+                     "gav": str(lock.module), "dependencies": total})
     _emit(args, lines, {"command": "generate", "modules": docs})
     return EXIT_OK
 
@@ -193,7 +174,7 @@ def cmd_validate(args) -> int:
                           current_environment=environment, override_mode=override)
         return module, report
 
-    results = _for_each_module(modules, run, args.workers)
+    results = for_each_module(modules, run, args.workers)
     lines, docs = [], []
     failed = False
     for module, report in results:
@@ -245,26 +226,20 @@ def cmd_ci_check(args) -> int:
     if not touched:
         return cmd_validate(args)
 
-    repo = _repository(args)
-    results = _generate_in_memory(args, repo)
-    updated = []
-    for module, _, payload in results:
-        target = module.directory / args.lockfile_name
-        if not target.is_file() or target.read_bytes() != payload:
-            updated.append((module, target, payload))
+    updated = [(rel, target, payload) for rel, _, target, payload in _generate(args)
+               if not target.is_file() or target.read_bytes() != payload]
     if not updated:
         _emit(args, ["lockfiles up to date"],
               {"command": "ci-check", "action": "unchanged", "updated": []})
         return EXIT_OK
-    for module, target, payload in updated:
+    for _, target, payload in updated:
         target.write_bytes(payload)
-    lines = [f"regenerated {module.rel_path}/{args.lockfile_name}"
-             for module, _, _ in updated]
+    lines = [f"regenerated {rel}/{args.lockfile_name}" for rel, _, _ in updated]
     lines.append(f"{len(updated)} lockfile(s) rewritten; commit them")
     _emit(args, lines, {
         "command": "ci-check",
         "action": "regenerated",
-        "updated": [module.rel_path for module, _, _ in updated],
+        "updated": [rel for rel, _, _ in updated],
     })
     return EXIT_UPDATED
 

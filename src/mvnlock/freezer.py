@@ -15,7 +15,15 @@ from dataclasses import dataclass, field
 from . import __version__
 from .errors import MvnlockError, ModuleMismatchError, StaleLockfileError
 from .lockfile import Lockfile, LockedDependency, iter_entries, serialize
-from .pom import PomModel, pom_to_xml
+from .pom import (
+    PomModel,
+    _child_map,
+    _local_tag,
+    _substitute,
+    _text,
+    pom_to_xml,
+    property_table,
+)
 from .resolver import mediate_scope
 
 FROZEN_POM_NAME = "pom.lockfile.xml"
@@ -90,23 +98,10 @@ def freeze(pom: PomModel, lockfile: Lockfile) -> FrozenPom:
 # --- XML emission ---
 
 
-def _local(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1] if "}" in tag else tag
-
-
-def _find(parent: ET.Element, name: str) -> ET.Element | None:
-    for child in parent:
-        if _local(child.tag) == name:
-            return child
-    return None
-
-
-def _child_text(parent: ET.Element, name: str) -> str:
-    # explicit None check: ElementTree leaves are falsy, `or` would eat them
-    child = _find(parent, name)
-    if child is None or child.text is None:
-        return ""
-    return child.text.strip()
+def _dependency_elements(parent: ET.Element | None) -> list[ET.Element]:
+    if parent is None:
+        return []
+    return [child for child in parent if _local_tag(child) == "dependency"]
 
 
 def _qname(root_tag: str, name: str) -> str:
@@ -137,22 +132,6 @@ def _leaf(parent: ET.Element, qname: str, text: str, level: int) -> ET.Element:
     return el
 
 
-def _interp(value: str | None, properties: dict[str, str]) -> str | None:
-    if value is None or "${" not in value:
-        return value
-    out = value
-    for _ in range(10):
-        changed = False
-        for name, repl in properties.items():
-            token = "${" + name + "}"
-            if token in out:
-                out = out.replace(token, repl)
-                changed = True
-        if not changed:
-            break
-    return out
-
-
 def emit_frozen_xml(frozen: FrozenPom) -> str:
     """Render the frozen manifest: the original XML plus overrides and pins."""
     base_xml = frozen.base.source_xml or pom_to_xml(frozen.base)
@@ -161,31 +140,28 @@ def emit_frozen_xml(frozen: FrozenPom) -> str:
     if root.tag.startswith("{"):
         ET.register_namespace("", root.tag[1:].split("}")[0])
 
-    properties: dict[str, str] = dict(frozen.base.properties)
-    if frozen.base.group_id:
-        properties["project.groupId"] = frozen.base.group_id
-    properties["project.artifactId"] = frozen.base.artifact_id
-    if frozen.base.version:
-        properties["project.version"] = frozen.base.version
+    # generate's ${} table, so coordinates read here match the locked ones
+    table = property_table(frozen.base)
+
+    def ga_of(children: dict[str, ET.Element]) -> tuple[str, str]:
+        return (_substitute(_text(children.get("groupId")) or "", table),
+                _substitute(_text(children.get("artifactId")) or "", table))
 
     # replace direct dependency versions in place
-    deps_el = _find(root, "dependencies")
+    deps_el = _child_map(root).get("dependencies")
     present: set[tuple[str, str]] = set()
-    if deps_el is not None:
-        for dep in deps_el:
-            if _local(dep.tag) != "dependency":
-                continue
-            ga = (_interp(_child_text(dep, "groupId"), properties),
-                  _interp(_child_text(dep, "artifactId"), properties))
-            version = frozen.direct_overrides.get(ga)
-            if version is None:
-                continue
-            present.add(ga)
-            version_el = _find(dep, "version")
-            if version_el is None:
-                version_el = _leaf(dep, q("version"), version, 3)
-            else:
-                version_el.text = version
+    for dep in _dependency_elements(deps_el):
+        children = _child_map(dep)
+        ga = ga_of(children)
+        version = frozen.direct_overrides.get(ga)
+        if version is None:
+            continue
+        present.add(ga)
+        version_el = children.get("version")
+        if version_el is None:
+            _leaf(dep, q("version"), version, 3)
+        else:
+            version_el.text = version
 
     # direct dependencies only visible through inheritance get declared outright
     missing = [d for d in frozen.base.dependencies
@@ -208,19 +184,15 @@ def emit_frozen_xml(frozen: FrozenPom) -> str:
                     _leaf(e, q("artifactId"), ea, 5)
 
     # pin every transitive in dependencyManagement, overriding key collisions
-    dm_el = _find(root, "dependencyManagement")
+    dm_el = _child_map(root).get("dependencyManagement")
     if dm_el is None:
         dm_el = _append_child(root, q("dependencyManagement"), 1)
-    managed_el = _find(dm_el, "dependencies")
+    managed_el = _child_map(dm_el).get("dependencies")
     if managed_el is None:
         managed_el = _append_child(dm_el, q("dependencies"), 2)
     pinned = {(g, a) for g, a, _, _ in frozen.managed_pins}
-    for existing in list(managed_el):
-        if _local(existing.tag) != "dependency":
-            continue
-        ga = (_interp(_child_text(existing, "groupId"), properties),
-              _interp(_child_text(existing, "artifactId"), properties))
-        if ga in pinned:
+    for existing in _dependency_elements(managed_el):
+        if ga_of(_child_map(existing)) in pinned:
             managed_el.remove(existing)
     for group, artifact, version, scope in frozen.managed_pins:
         dep_el = _append_child(managed_el, q("dependency"), 3)

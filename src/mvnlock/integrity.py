@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from .errors import MvnlockError
 from .lockfile import EnvironmentMetadata, Lockfile, LockedDependency, probe_environment
 from .pom import EffectivePom, Gav
-from .repo import MavenRepository
+from .repo import ChecksumRecord, MavenRepository
 from .resolver import resolve
 
 ERROR = "error"
@@ -79,6 +79,19 @@ class ValidationReport:
         }
 
 
+def _recheck(gav: Gav, record: ChecksumRecord, mode: str, repo: MavenRepository,
+             findings: list[Finding]) -> str:
+    """The artifact's digest now, fetched or hashed per ``mode``; a mismatch is a finding."""
+    if mode == "remote":
+        actual = repo.checksum_remote(gav, "jar", record.algorithm).digest
+    else:
+        actual = repo.checksum_local(gav, "jar", record.algorithm).digest
+    if actual != record.digest:
+        findings.append(Finding("checksum-mismatch", gav.group_id, gav.artifact_id,
+                                record.digest, actual))
+    return actual
+
+
 def verify_checksums(entries: list[LockedDependency], repo: MavenRepository,
                      override_mode: str | None = None) -> list[Finding]:
     """Recompute or refetch each entry's digest per its recorded mode.
@@ -90,23 +103,13 @@ def verify_checksums(entries: list[LockedDependency], repo: MavenRepository,
     findings: list[Finding] = []
     for entry in entries:
         gav = Gav(entry.group_id, entry.artifact_id, entry.version)
-        algorithm = entry.checksum.algorithm
-        if (override_mode or entry.checksum.mode) == "remote":
-            actual = repo.checksum_remote(gav, "jar", algorithm)
-            if actual.digest != entry.checksum.digest:
-                findings.append(Finding("checksum-mismatch", entry.group_id,
-                                        entry.artifact_id, entry.checksum.digest,
-                                        actual.digest))
-            local = repo.checksum_local(gav, "jar", algorithm)
-            if local.digest != actual.digest:
+        mode = override_mode or entry.checksum.mode
+        actual = _recheck(gav, entry.checksum, mode, repo, findings)
+        if mode == "remote":
+            local = repo.checksum_local(gav, "jar", entry.checksum.algorithm)
+            if local.digest != actual:
                 findings.append(Finding("source-mismatch", entry.group_id,
-                                        entry.artifact_id, actual.digest, local.digest))
-        else:
-            actual = repo.checksum_local(gav, "jar", algorithm)
-            if actual.digest != entry.checksum.digest:
-                findings.append(Finding("checksum-mismatch", entry.group_id,
-                                        entry.artifact_id, entry.checksum.digest,
-                                        actual.digest))
+                                        entry.artifact_id, actual, local.digest))
     return findings
 
 
@@ -169,17 +172,9 @@ def validate(module_pom: EffectivePom, lockfile: Lockfile | None, repo: MavenRep
 
     report.findings.extend(verify_checksums(matching, repo, override_mode))
 
-    if lockfile.plugins:
-        for gav, record in lockfile.plugins:
-            if (override_mode or lockfile.config.checksum_mode) == "remote":
-                actual = repo.checksum_remote(gav, "jar", record.algorithm)
-            else:
-                actual = repo.checksum_local(gav, "jar", record.algorithm)
-            if actual.digest != record.digest:
-                report.findings.append(
-                    Finding("checksum-mismatch", gav.group_id, gav.artifact_id,
-                            record.digest, actual.digest)
-                )
+    for gav, record in lockfile.plugins or ():
+        _recheck(gav, record, override_mode or lockfile.config.checksum_mode, repo,
+                 report.findings)
 
     if lockfile.environment is not None:
         report.findings.extend(

@@ -22,10 +22,11 @@ from .errors import (
     GenerationError,
     LockfileSchemaError,
     ModuleMismatchError,
+    MvnlockError,
     UnsupportedLockfileVersionError,
 )
 from .pom import EffectivePom, Gav
-from .project import load_project
+from .project import ProjectModule, for_each_module, load_project
 from .repo import ALGORITHMS, ChecksumRecord, MavenRepository
 from .resolver import ResolvedNode, resolve
 from .session import session_of
@@ -211,22 +212,23 @@ def _guarded(fn):
 
 def generate_all(project_root: Path, config: LockfileConfig, repo: MavenRepository,
                  environment: EnvironmentMetadata | None = None,
-                 max_workers: int = 4) -> list[tuple[str, Lockfile]]:
+                 workers: int = 4) -> list[tuple[str, Lockfile]]:
     """One lockfile per module, root included (aggregators lock an empty forest).
 
-    All modules read the repository through one session, so they share a
-    single snapshot of it.
+    ``workers`` modules run at a time; results come in module order. All
+    modules read the repository through one session, so they share a single
+    snapshot of it. A module's failure is a ``GenerationError`` naming it.
     """
     session = session_of(repo)
-    results = []
-    for module in load_project(project_root, session):
+
+    def run(module: ProjectModule) -> tuple[str, Lockfile]:
         try:
-            lock = generate_lockfile(module.effective, config, session,
-                                     environment=environment, max_workers=max_workers)
-        except GenerationError as exc:
+            lock = generate_lockfile(module.effective, config, session, environment=environment)
+        except MvnlockError as exc:
             raise GenerationError(f"module {module.rel_path}: {exc}") from exc
-        results.append((module.rel_path, lock))
-    return results
+        return module.rel_path, lock
+
+    return for_each_module(load_project(project_root, session), run, workers)
 
 
 # --- canonical serialization ---

@@ -388,21 +388,27 @@ def _builtin_properties(model: PomModel) -> dict[str, str]:
     return builtins
 
 
-def interpolate_properties(model: PomModel, extra: dict[str, str] | None = None) -> PomModel:
-    """Replace ${...} references everywhere in the model, up to a fixed depth.
+def property_table(model: PomModel, extra: dict[str, str] | None = None) -> dict[str, str]:
+    """The ${...} table of a model, shared by interpolation and frozen-XML output.
 
-    ``extra`` supplies inherited properties; the model's own entries shadow them.
+    ``extra`` supplies inherited properties; the model's own entries shadow
+    them and the project.* built-ins. Declared values are themselves resolved.
     """
     table = dict(extra or {})
     table.update(model.properties)
     table.update(_builtin_properties(model))
+    # property values themselves may reference other properties
+    table.update({name: _substitute(value, table) for name, value in model.properties.items()})
+    return table
+
+
+def interpolate_properties(model: PomModel, extra: dict[str, str] | None = None) -> PomModel:
+    """Replace ${...} references everywhere in the model, up to a fixed depth."""
+    table = property_table(model, extra)
+    resolved_props = {name: table[name] for name in model.properties}
 
     def sub(value: str | None) -> str | None:
         return _substitute(value, table) if value is not None else None
-
-    # property values themselves may reference other properties
-    resolved_props = {name: _substitute(value, table) for name, value in model.properties.items()}
-    table.update(resolved_props)
 
     def sub_decl(decl: DependencyDecl) -> DependencyDecl:
         spec = decl.version_spec
@@ -429,7 +435,7 @@ def interpolate_properties(model: PomModel, extra: dict[str, str] | None = None)
             _substitute(parent.version, table),
         )
 
-    result = PomModel(
+    return PomModel(
         artifact_id=_substitute(model.artifact_id, table),
         group_id=sub(model.group_id),
         version=sub(model.version),
@@ -446,7 +452,6 @@ def interpolate_properties(model: PomModel, extra: dict[str, str] | None = None)
         ],
         source_xml=model.source_xml,
     )
-    return result
 
 
 # --- effective model ---

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -70,3 +71,11 @@ def load_project(root: Path, repo=None) -> list[ProjectModule]:
         ProjectModule(rel, directory, model, effective_pom(model, parent_loader))
         for rel, directory, model in raw
     ]
+
+
+def for_each_module(modules: list[ProjectModule], worker, workers: int) -> list:
+    """Apply worker to every module, ``workers`` at a time; results in module order."""
+    if workers <= 1 or len(modules) <= 1:
+        return [worker(m) for m in modules]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(worker, modules))

@@ -235,6 +235,14 @@ def build_aggregator(tmp: Path) -> Fixture:
                    module_paths=[".", "core", "web"])
 
 
+def break_core(fixture: Fixture) -> None:
+    """Give the aggregator's core module a range no published version satisfies."""
+    (fixture.project_root / "core" / "pom.xml").write_text(pom_xml(
+        None, "core", None, parent=("com.acme.multi", "parent", "2.0"),
+        deps=(dep_xml("org.acme", "lib-b", "[5.0,6.0)"),),
+    ), encoding="utf-8")
+
+
 def build_diamond(tmp: Path) -> Fixture:
     repo = RepoBuilder(tmp / "remote")
     repo.add("org.d", "d", "1.0")

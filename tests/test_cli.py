@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import build_aggregator, build_single, flip_byte
+from conftest import break_core, build_aggregator, build_single, flip_byte
 from mvnlock.cli import main
 
 
@@ -56,6 +56,14 @@ class TestGenerate:
         assert run(fixture, "generate") == 0
         for rel in fixture.module_paths:
             assert (fixture.project_root / rel / "lockfile.json").is_file()
+
+    def test_module_failure_exits_two_naming_module(self, tmp_path, capsys):
+        fixture = build_aggregator(tmp_path)
+        break_core(fixture)
+        assert run(fixture, "generate") == 2
+        assert capsys.readouterr().err.startswith("mvnlock: error: module core: ")
+        for rel in fixture.module_paths:
+            assert not (fixture.project_root / rel / "lockfile.json").exists()
 
     def test_machine_format(self, single_fixture, capsys):
         assert run(single_fixture, "generate", "--format", "machine") == 0

@@ -2,11 +2,26 @@ import random
 
 import pytest
 
-from conftest import build_diamond, build_dualpath, build_ranges, build_single, pom_xml
-from mvnlock.errors import ModuleMismatchError, MvnlockError, StaleLockfileError
+from conftest import (
+    Fixture,
+    RepoBuilder,
+    build_diamond,
+    build_dualpath,
+    build_ranges,
+    build_single,
+    dep_xml,
+    pom_xml,
+)
+from mvnlock.cli import main
+from mvnlock.errors import (
+    ModuleMismatchError,
+    MvnlockError,
+    PropertyResolutionError,
+    StaleLockfileError,
+)
 from mvnlock.freezer import FrozenPom, emit_frozen_xml, freeze, scope_for_pin
-from mvnlock.lockfile import LockedDependency, LockfileConfig, generate_lockfile
-from mvnlock.pom import parse_pom
+from mvnlock.lockfile import LockedDependency, LockfileConfig, generate_lockfile, parse_lockfile
+from mvnlock.pom import effective_pom, parse_pom
 from mvnlock.project import load_project
 from mvnlock.repo import ChecksumRecord
 from mvnlock.resolver import resolve
@@ -232,6 +247,14 @@ class TestEmit:
         reparsed = parse_pom(emit_frozen_xml(frozen))
         assert reparsed.dependencies[0].version_spec.pin == "1.0"
 
+    def test_unknown_property_is_an_error(self):
+        # the strict rule generate applies: an unknown ${x} never passes through
+        base = parse_pom(pom_xml("g", "p", "1.0", deps=(dep_xml("${nope}", "y", "1.0"),)))
+        frozen = FrozenPom(base=base, direct_overrides={}, managed_pins=[],
+                           source_lockfile_digest="0" * 64)
+        with pytest.raises(PropertyResolutionError, match=r"\$\{nope\}"):
+            emit_frozen_xml(frozen)
+
 
 class TestFreezeEquivalence:
     def frozen_effective(self, module, lock, repo, fixture):
@@ -267,3 +290,29 @@ class TestFreezeEquivalence:
         second = freeze(refrozen_model, lock)
         assert second.direct_overrides == first.direct_overrides
         assert second.managed_pins == first.managed_pins
+
+
+class TestFreezeInterpolation:
+    def test_declared_project_property_freezes_locked_version(self, tmp_path):
+        # a declared <project.groupId> shadows the built-in one, in freeze as in generate
+        repo = RepoBuilder(tmp_path / "remote")
+        repo.add("org.x", "lib", "1.0")
+        repo.add("org.x", "lib", "1.5")
+        project = tmp_path / "project"
+        project.mkdir()
+        (project / "pom.xml").write_text(pom_xml(
+            "com.acme", "app", "1.0", properties={"project.groupId": "org.x"},
+            deps=(dep_xml("${project.groupId}", "lib", "[1.0,2.0)"),),
+        ), encoding="utf-8")
+        fixture = Fixture("declared-group", project, repo, tmp_path / "cache")
+        common = ["--project", str(project), "--repo-url", repo.url,
+                  "--local-repo", str(fixture.cache_root)]
+        assert main(["generate", *common]) == 0
+        lock = parse_lockfile((project / "lockfile.json").read_bytes())
+        assert [(e.ga, e.version) for e in lock.flattened()] == [(("org.x", "lib"), "1.5")]
+        assert main(["freeze", *common]) == 0
+
+        repo.add("org.x", "lib", "1.9")
+        frozen = effective_pom(parse_pom((project / "pom.lockfile.xml").read_text()))
+        assert [d.ga for d in frozen.dependencies] == [("org.x", "lib")]
+        assert resolved_set(frozen, fixture.repository()) == locked_set(lock)

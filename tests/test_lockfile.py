@@ -13,6 +13,7 @@ from mvnlock.errors import (
     LockfileSchemaError,
     ModuleMismatchError,
     NotFoundError,
+    ResolutionError,
     UnsupportedLockfileVersionError,
 )
 from mvnlock.lockfile import (
@@ -193,6 +194,28 @@ class TestGenerateAll:
             remote_base_urls=(repo_dir.url,), local_repo_root=tmp_path / "cache"))
         with pytest.raises(NotFoundError, match="ghost"):
             generate_all(project, LockfileConfig(), repo)
+
+    def test_workers_do_not_change_results_or_order(self, tmp_path):
+        from conftest import build_aggregator
+
+        fixture = build_aggregator(tmp_path)
+        runs = [[(rel, serialize(lock)) for rel, lock in
+                 generate_all(fixture.project_root, LockfileConfig(), fixture.repository(),
+                              workers=workers)]
+                for workers in (1, 4)]
+        assert [rel for rel, _ in runs[0]] == [".", "core", "web"]
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_module_failure_names_the_module(self, tmp_path, workers):
+        from conftest import break_core, build_aggregator
+
+        fixture = build_aggregator(tmp_path)
+        break_core(fixture)
+        with pytest.raises(GenerationError, match="^module core: ") as info:
+            generate_all(fixture.project_root, LockfileConfig(), fixture.repository(),
+                         workers=workers)
+        assert isinstance(info.value.__cause__, ResolutionError)
 
 
 class TestCanonicalForm:
