@@ -28,7 +28,7 @@ from .lockfile import (
     probe_environment,
     serialize,
 )
-from .project import ProjectModule, for_each_module, load_project
+from .project import ProjectModule, for_each, load_project
 from .repo import MavenRepository, RepositoryConfig
 from .session import Session
 
@@ -174,7 +174,7 @@ def cmd_validate(args) -> int:
                           current_environment=environment, override_mode=override)
         return module, report
 
-    results = for_each_module(modules, run, args.workers)
+    results = for_each(modules, run, args.workers)
     lines, docs = [], []
     failed = False
     for module, report in results:

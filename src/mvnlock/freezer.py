@@ -21,7 +21,6 @@ from .pom import (
     _local_tag,
     _substitute,
     _text,
-    pom_to_xml,
     property_table,
 )
 from .resolver import mediate_scope
@@ -98,7 +97,7 @@ def freeze(pom: PomModel, lockfile: Lockfile) -> FrozenPom:
 # --- XML emission ---
 
 
-def _dependency_elements(parent: ET.Element | None) -> list[ET.Element]:
+def _dependency_children(parent: ET.Element | None) -> list[ET.Element]:
     if parent is None:
         return []
     return [child for child in parent if _local_tag(child) == "dependency"]
@@ -134,8 +133,11 @@ def _leaf(parent: ET.Element, qname: str, text: str, level: int) -> ET.Element:
 
 def emit_frozen_xml(frozen: FrozenPom) -> str:
     """Render the frozen manifest: the original XML plus overrides and pins."""
-    base_xml = frozen.base.source_xml or pom_to_xml(frozen.base)
-    root = ET.fromstring(base_xml)
+    if frozen.base.source_xml is None:
+        raise MvnlockError(
+            f"cannot freeze {frozen.base.artifact_id}: its model was not parsed from a pom.xml"
+        )
+    root = ET.fromstring(frozen.base.source_xml)
     q = lambda name: _qname(root.tag, name)
     if root.tag.startswith("{"):
         ET.register_namespace("", root.tag[1:].split("}")[0])
@@ -150,7 +152,7 @@ def emit_frozen_xml(frozen: FrozenPom) -> str:
     # replace direct dependency versions in place
     deps_el = _child_map(root).get("dependencies")
     present: set[tuple[str, str]] = set()
-    for dep in _dependency_elements(deps_el):
+    for dep in _dependency_children(deps_el):
         children = _child_map(dep)
         ga = ga_of(children)
         version = frozen.direct_overrides.get(ga)
@@ -191,7 +193,7 @@ def emit_frozen_xml(frozen: FrozenPom) -> str:
     if managed_el is None:
         managed_el = _append_child(dm_el, q("dependencies"), 2)
     pinned = {(g, a) for g, a, _, _ in frozen.managed_pins}
-    for existing in _dependency_elements(managed_el):
+    for existing in _dependency_children(managed_el):
         if ga_of(_child_map(existing)) in pinned:
             managed_el.remove(existing)
     for group, artifact, version, scope in frozen.managed_pins:

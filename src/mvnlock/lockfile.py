@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 import platform
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
@@ -26,7 +25,7 @@ from .errors import (
     UnsupportedLockfileVersionError,
 )
 from .pom import EffectivePom, Gav
-from .project import ProjectModule, for_each_module, load_project
+from .project import ProjectModule, for_each, load_project
 from .repo import ALGORITHMS, ChecksumRecord, MavenRepository
 from .resolver import ResolvedNode, resolve
 from .session import session_of
@@ -124,14 +123,18 @@ def generate_lockfile(module_pom: EffectivePom, config: LockfileConfig,
     selected = tree.flattened
     occurrences = tree.occurrence_scopes()
 
-    def fetch_checksum(item: tuple[Gav, str, str | None]) -> tuple[ChecksumRecord, str]:
+    def fetch_checksum(item: tuple[Gav, str, str | None]) -> tuple[ChecksumRecord, str] | None:
+        """The record and its source, or None when no checksum is published."""
         gav, packaging, classifier = item
-        if config.checksum_mode == "remote":
-            return repo.checksum_remote_with_source(
-                gav, packaging, config.checksum_algorithm, classifier
-            )
-        record = repo.checksum_local(gav, packaging, config.checksum_algorithm, classifier)
-        return record, repo.source_of(gav, packaging, classifier)
+        try:
+            if config.checksum_mode == "remote":
+                return repo.checksum_remote_with_source(
+                    gav, packaging, config.checksum_algorithm, classifier
+                )
+            record = repo.checksum_local(gav, packaging, config.checksum_algorithm, classifier)
+            return record, repo.source_of(gav, packaging, classifier)
+        except ChecksumUnavailableError:
+            return None
 
     plugin_gavs: list[Gav] = []
     if config.include_plugins:
@@ -144,17 +147,8 @@ def generate_lockfile(module_pom: EffectivePom, config: LockfileConfig,
 
     jobs = [(n.gav, n.packaging, n.classifier) for n in selected]
     jobs += [(gav, "jar", None) for gav in plugin_gavs]
-    checksums: dict[tuple[Gav, str, str | None], tuple[ChecksumRecord, str]] = {}
-    unavailable: list[Gav] = []
-    if jobs:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            for job, outcome in zip(jobs, pool.map(_guarded(fetch_checksum), jobs)):
-                if isinstance(outcome, ChecksumUnavailableError):
-                    unavailable.append(job[0])
-                elif isinstance(outcome, BaseException):
-                    raise outcome
-                else:
-                    checksums[job] = outcome
+    checksums = dict(zip(jobs, for_each(jobs, fetch_checksum, max_workers)))
+    unavailable = [job[0] for job, outcome in checksums.items() if outcome is None]
     if unavailable:
         raise GenerationError(
             "no published checksum for: " + ", ".join(str(g) for g in unavailable)
@@ -200,16 +194,6 @@ def generate_lockfile(module_pom: EffectivePom, config: LockfileConfig,
     )
 
 
-def _guarded(fn):
-    def call(item):
-        try:
-            return fn(item)
-        except BaseException as exc:  # surfaced by the caller
-            return exc
-
-    return call
-
-
 def generate_all(project_root: Path, config: LockfileConfig, repo: MavenRepository,
                  environment: EnvironmentMetadata | None = None,
                  workers: int = 4) -> list[tuple[str, Lockfile]]:
@@ -228,7 +212,7 @@ def generate_all(project_root: Path, config: LockfileConfig, repo: MavenReposito
             raise GenerationError(f"module {module.rel_path}: {exc}") from exc
         return module.rel_path, lock
 
-    return for_each_module(load_project(project_root, session), run, workers)
+    return for_each(load_project(project_root, session), run, workers)
 
 
 # --- canonical serialization ---

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 from .errors import (
     ParentResolutionError,
@@ -192,19 +192,9 @@ class PomModel:
             )
         return Gav(self.group_id, self.artifact_id, self.version)
 
-    def __eq__(self, other):
-        # content equality, tolerant of the EffectivePom subclass
-        if not isinstance(other, PomModel):
-            return NotImplemented
-        return all(
-            getattr(self, f.name) == getattr(other, f.name)
-            for f in fields(PomModel)
-            if f.compare
-        )
 
-
-class EffectivePom(PomModel):
-    """PomModel after parent merging and property interpolation; coordinates concrete."""
+# after parent merging and property interpolation; coordinates concrete
+EffectivePom = PomModel
 
 
 def _local_tag(element: ET.Element) -> str:
@@ -388,23 +378,22 @@ def _builtin_properties(model: PomModel) -> dict[str, str]:
     return builtins
 
 
-def property_table(model: PomModel, extra: dict[str, str] | None = None) -> dict[str, str]:
+def property_table(model: PomModel) -> dict[str, str]:
     """The ${...} table of a model, shared by interpolation and frozen-XML output.
 
-    ``extra`` supplies inherited properties; the model's own entries shadow
-    them and the project.* built-ins. Declared values are themselves resolved.
+    The model's own entries (inherited ones included, once merged) shadow the
+    project.* built-ins. Declared values are themselves resolved.
     """
-    table = dict(extra or {})
-    table.update(model.properties)
+    table = dict(model.properties)
     table.update(_builtin_properties(model))
     # property values themselves may reference other properties
     table.update({name: _substitute(value, table) for name, value in model.properties.items()})
     return table
 
 
-def interpolate_properties(model: PomModel, extra: dict[str, str] | None = None) -> PomModel:
+def interpolate_properties(model: PomModel) -> PomModel:
     """Replace ${...} references everywhere in the model, up to a fixed depth."""
-    table = property_table(model, extra)
+    table = property_table(model)
     resolved_props = {name: table[name] for name in model.properties}
 
     def sub(value: str | None) -> str | None:
@@ -512,20 +501,9 @@ def effective_pom(model: PomModel, parent_loader=None) -> EffectivePom:
             f"coordinates of {model.artifact_id} remain incomplete after inheritance"
         )
 
-    base = PomModel(
-        artifact_id=model.artifact_id,
-        group_id=group,
-        version=version,
-        packaging=model.packaging,
-        parent=model.parent,
-        properties=merged_props,
-        dependencies=merged_deps,
-        dependency_management=merged_dm,
-        modules=list(model.modules),
-        plugins=list(model.plugins),
-        source_xml=model.source_xml,
-    )
-    interpolated = interpolate_properties(base, extra=merged_props)
+    base = replace(model, group_id=group, version=version, properties=merged_props,
+                   dependencies=merged_deps, dependency_management=merged_dm)
+    interpolated = interpolate_properties(base)
 
     # dependency management fills versions that direct dependencies omit
     managed = {d.ga: d for d in interpolated.dependency_management}
@@ -535,111 +513,4 @@ def effective_pom(model: PomModel, parent_loader=None) -> EffectivePom:
             decl = replace(decl, version_spec=managed[decl.ga].version_spec)
         filled.append(decl)
 
-    return EffectivePom(
-        artifact_id=interpolated.artifact_id,
-        group_id=interpolated.group_id,
-        version=interpolated.version,
-        packaging=interpolated.packaging,
-        parent=interpolated.parent,
-        properties=interpolated.properties,
-        dependencies=filled,
-        dependency_management=interpolated.dependency_management,
-        modules=interpolated.modules,
-        plugins=interpolated.plugins,
-        source_xml=model.source_xml,
-    )
-
-
-# --- serialization back to XML ---
-
-
-def _append(parent: ET.Element, tag: str, text: str | None = None) -> ET.Element:
-    el = ET.SubElement(parent, tag)
-    if text is not None:
-        el.text = text
-    return el
-
-
-def _dependency_element(parent: ET.Element, decl: DependencyDecl) -> ET.Element:
-    el = _append(parent, "dependency")
-    _append(el, "groupId", decl.group_id)
-    _append(el, "artifactId", decl.artifact_id)
-    if decl.version_spec is not None:
-        _append(el, "version", decl.version_spec.text)
-    if decl.packaging != "jar":
-        _append(el, "type", decl.packaging)
-    if decl.classifier:
-        _append(el, "classifier", decl.classifier)
-    if decl.scope_explicit:
-        _append(el, "scope", decl.scope)
-    if decl.optional_flag:
-        _append(el, "optional", "true")
-    if decl.exclusions:
-        excl_el = _append(el, "exclusions")
-        for eg, ea in decl.exclusions:
-            e = _append(excl_el, "exclusion")
-            _append(e, "groupId", eg)
-            _append(e, "artifactId", ea)
-    return el
-
-
-def indent_tree(element: ET.Element, level: int = 0) -> None:
-    """Two-space pretty indentation, in place."""
-    pad = "\n" + "  " * level
-    if len(element):
-        if not (element.text or "").strip():
-            element.text = pad + "  "
-        for child in element:
-            indent_tree(child, level + 1)
-            if not (child.tail or "").strip():
-                child.tail = pad + "  "
-        if not (element[-1].tail or "").strip():
-            element[-1].tail = pad
-    if level == 0:
-        element.tail = "\n"
-
-
-def pom_to_xml(model: PomModel) -> str:
-    """Serialize a model to manifest XML (loses elements the parser ignores)."""
-    root = ET.Element("project")
-    _append(root, "modelVersion", "4.0.0")
-    if model.parent is not None:
-        parent_el = _append(root, "parent")
-        _append(parent_el, "groupId", model.parent.group_id)
-        _append(parent_el, "artifactId", model.parent.artifact_id)
-        _append(parent_el, "version", model.parent.version)
-    if model.group_id:
-        _append(root, "groupId", model.group_id)
-    _append(root, "artifactId", model.artifact_id)
-    if model.version:
-        _append(root, "version", model.version)
-    if model.packaging != "jar":
-        _append(root, "packaging", model.packaging)
-    if model.properties:
-        props_el = _append(root, "properties")
-        for name, value in model.properties.items():
-            _append(props_el, name, value)
-    if model.modules:
-        modules_el = _append(root, "modules")
-        for path in model.modules:
-            _append(modules_el, "module", path)
-    if model.dependency_management:
-        dm_el = _append(root, "dependencyManagement")
-        deps_el = _append(dm_el, "dependencies")
-        for decl in model.dependency_management:
-            _dependency_element(deps_el, decl)
-    if model.dependencies:
-        deps_el = _append(root, "dependencies")
-        for decl in model.dependencies:
-            _dependency_element(deps_el, decl)
-    if model.plugins:
-        build_el = _append(root, "build")
-        plugins_el = _append(build_el, "plugins")
-        for plugin in model.plugins:
-            plugin_el = _append(plugins_el, "plugin")
-            _append(plugin_el, "groupId", plugin.group_id)
-            _append(plugin_el, "artifactId", plugin.artifact_id)
-            if plugin.version:
-                _append(plugin_el, "version", plugin.version)
-    indent_tree(root)
-    return '<?xml version="1.0" encoding="UTF-8"?>\n' + ET.tostring(root, encoding="unicode")
+    return replace(interpolated, dependencies=filled)

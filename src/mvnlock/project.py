@@ -73,9 +73,12 @@ def load_project(root: Path, repo=None) -> list[ProjectModule]:
     ]
 
 
-def for_each_module(modules: list[ProjectModule], worker, workers: int) -> list:
-    """Apply worker to every module, ``workers`` at a time; results in module order."""
-    if workers <= 1 or len(modules) <= 1:
-        return [worker(m) for m in modules]
+def for_each(items: list, worker, workers: int) -> list:
+    """Apply worker to every item, ``workers`` at a time; results in item order.
+
+    The first error in item order propagates once every started call is done.
+    """
+    if workers <= 1 or len(items) <= 1:
+        return [worker(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, modules))
+        return list(pool.map(worker, items))

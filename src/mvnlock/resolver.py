@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 from .errors import EmptyRangeError, MvnlockError, ResolutionError
 from .pom import DependencyDecl, EffectivePom, Gav, VersionSpec
 from .session import session_of
-from .versions import compare_versions, max_version
+from .versions import max_version
 
 # transitive scope table: rows keyed by the scope of the edge into the parent,
 # columns by the scope the dependency itself declares. None means "omitted".
@@ -121,13 +121,15 @@ class ResolvedTree:
         return table
 
     def recorded_scope(self, node: ResolvedNode,
-                       occurrences: dict[tuple[str, str], list[str]] | None = None) -> str:
+                       occurrences: dict[tuple[str, str], list[str]]) -> str:
         """Scope a lockfile should record: direct nodes keep their declared scope,
-        transitive winners get the mediated scope across every occurrence."""
+        transitive winners get the mediated scope across every occurrence.
+
+        ``occurrences`` is this tree's ``occurrence_scopes()``, built once by the caller.
+        """
         if node.depth == 1:
             return node.effective_scope
-        occ = occurrences if occurrences is not None else self.occurrence_scopes()
-        return mediate_scope(occ[node.ga])
+        return mediate_scope(occurrences[node.ga])
 
 
 def resolve(pom: EffectivePom, repo, include_test: bool = True) -> ResolvedTree:

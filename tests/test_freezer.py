@@ -21,7 +21,7 @@ from mvnlock.errors import (
 )
 from mvnlock.freezer import FrozenPom, emit_frozen_xml, freeze, scope_for_pin
 from mvnlock.lockfile import LockedDependency, LockfileConfig, generate_lockfile, parse_lockfile
-from mvnlock.pom import effective_pom, parse_pom
+from mvnlock.pom import PomModel, effective_pom, parse_pom
 from mvnlock.project import load_project
 from mvnlock.repo import ChecksumRecord
 from mvnlock.resolver import resolve
@@ -195,6 +195,13 @@ class TestEmit:
         out = emit_frozen_xml(frozen)
         assert "generated by mvnlock" in out
         assert parse_pom(out) == model
+
+    def test_model_without_source_xml_is_an_error(self):
+        model = PomModel(artifact_id="handmade", group_id="g", version="1.0")
+        frozen = FrozenPom(base=model, direct_overrides={}, managed_pins=[],
+                           source_lockfile_digest="0" * 64)
+        with pytest.raises(MvnlockError, match="handmade"):
+            emit_frozen_xml(frozen)
 
     def test_single_pin_element_structure(self, tmp_path):
         model = parse_pom(pom_xml("g", "flat", "1.0"))

@@ -101,12 +101,16 @@ class TestGeneration:
             assert entry.repository_source == single_fixture.repo.url
 
     def test_remote_mode_missing_sidecar_lists_gavs(self, single_fixture):
-        sidecar = single_fixture.repo.artifact_path(
-            "org.acme", "util", "1.0", "jar.sha256")
-        sidecar.unlink()
-        effective, repo = module_effective(single_fixture)
-        with pytest.raises(GenerationError, match="org.acme:util:1.0"):
-            generate_lockfile(effective, LockfileConfig(checksum_mode="remote"), repo)
+        for group, artifact, version in (("org.acme", "util", "1.0"),
+                                         ("com.google.code.gson", "gson", "2.13.2")):
+            single_fixture.repo.artifact_path(group, artifact, version, "jar.sha256").unlink()
+        for max_workers in (1, 4):
+            effective, repo = module_effective(single_fixture)
+            with pytest.raises(GenerationError) as err:
+                generate_lockfile(effective, LockfileConfig(checksum_mode="remote"), repo,
+                                  max_workers=max_workers)
+            assert "org.acme:util:1.0" in str(err.value), max_workers
+            assert "com.google.code.gson:gson:2.13.2" in str(err.value), max_workers
 
     def test_environment_block(self, single_fixture):
         effective, repo = module_effective(single_fixture)
