@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from .errors import MvnlockError, OfflineError
 from .freezer import FROZEN_POM_NAME, emit_frozen_xml, freeze
-from .integrity import validate
+from .integrity import ValidationReport, validate
 from .lockfile import (
     DEFAULT_LOCKFILE_NAME,
     EnvironmentMetadata,
@@ -29,7 +29,7 @@ from .lockfile import (
     serialize,
 )
 from .project import ProjectModule, for_each, load_project
-from .repo import MavenRepository, RepositoryConfig
+from .repo import MavenRepository, RepositoryConfig, write_files
 from .session import Session
 
 EXIT_OK = 0
@@ -138,9 +138,10 @@ def _generate(args) -> list[tuple[str, Lockfile, Path, bytes]]:
 
 
 def cmd_generate(args) -> int:
+    generated = _generate(args)
+    write_files([(target, payload) for _, _, target, payload in generated])
     lines, docs = [], []
-    for rel, lock, target, payload in _generate(args):
-        target.write_bytes(payload)
+    for rel, lock, target, _ in generated:
         total = len(lock.flattened())
         lines.append(f"generated {rel}/{args.lockfile_name} "
                      f"({total} dependencies, {len(lock.dependencies)} direct)")
@@ -150,34 +151,50 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def cmd_validate(args) -> int:
+def _each_locked_module(args, work) -> list[tuple[ProjectModule, object]]:
+    """``work(module, lockfile, repo)`` for every module, ``--workers`` at a time.
+
+    Returns (module, result) in module order; the result is None for a
+    ``--skip-module`` path. A missing lockfile, or any failure of the work,
+    is an error naming the module.
+    """
     repo = _repository(args)
-    modules = load_project(Path(args.project), repo)
     skip = set(args.skip_module)
-    environment = _environment(args)
 
     def run(module: ProjectModule):
-        lock_path = module.directory / args.lockfile_name
         if module.rel_path in skip:
-            return module, validate(module.effective, None, repo, skip=True)
+            return module, None
+        lock_path = module.directory / args.lockfile_name
         if not lock_path.is_file():
             raise MvnlockError(f"module {module.rel_path}: missing {args.lockfile_name}")
-        lock = parse_lockfile(lock_path.read_bytes())
-        override = getattr(args, "override_checksum_mode", None)
+        try:
+            return module, work(module, parse_lockfile(lock_path.read_bytes()), repo)
+        except MvnlockError as exc:
+            raise MvnlockError(f"module {module.rel_path}: {exc}") from exc
+
+    return for_each(load_project(Path(args.project), repo), run, args.workers)
+
+
+def cmd_validate(args) -> int:
+    environment = _environment(args)
+    override = getattr(args, "override_checksum_mode", None)
+
+    def check(module: ProjectModule, lock: Lockfile, repo) -> ValidationReport:
         if (args.offline and (override or lock.config.checksum_mode) == "remote"
                 and (lock.dependencies or lock.plugins)):
             raise OfflineError(
-                f"module {module.rel_path}: {lock_path} records checksum mode 'remote', "
+                f"{module.directory / args.lockfile_name} records checksum mode 'remote', "
                 "which needs remote access; to check it offline against the local "
                 "cache, pass --override-checksum-mode local")
-        report = validate(module.effective, lock, repo,
-                          current_environment=environment, override_mode=override)
-        return module, report
+        return validate(module.effective, lock, repo,
+                        current_environment=environment, override_mode=override)
 
-    results = for_each(modules, run, args.workers)
     lines, docs = [], []
     failed = False
-    for module, report in results:
+    for module, report in _each_locked_module(args, check):
+        if report is None:
+            report = ValidationReport(module=module.gav,
+                                      notes=["validation skipped by configuration"])
         status = "ok" if report.passed else "FAILED"
         lines.append(f"module {module.rel_path} ({module.gav}): {status}")
         for note in report.notes:
@@ -197,25 +214,21 @@ def cmd_validate(args) -> int:
 
 
 def cmd_freeze(args) -> int:
-    repo = _repository(args)
-    modules = load_project(Path(args.project), repo)
-    skip = set(args.skip_module)
+    def frozen_pom(module: ProjectModule, lock: Lockfile, repo) -> tuple[Path, bytes, int]:
+        frozen = freeze(module.effective, lock)
+        return (module.directory / FROZEN_POM_NAME, emit_frozen_xml(frozen).encode("utf-8"),
+                len(frozen.managed_pins))
+
+    results = _each_locked_module(args, frozen_pom)
+    write_files([result[:2] for _, result in results if result is not None])
     lines, docs = [], []
-    for module in modules:
-        if module.rel_path in skip:
+    for module, result in results:
+        if result is None:
             lines.append(f"skipped {module.rel_path}")
             continue
-        lock_path = module.directory / args.lockfile_name
-        if not lock_path.is_file():
-            raise MvnlockError(f"module {module.rel_path}: missing {args.lockfile_name}")
-        lock = parse_lockfile(lock_path.read_bytes())
-        frozen = freeze(module.effective, lock)
-        target = module.directory / FROZEN_POM_NAME
-        target.write_text(emit_frozen_xml(frozen), encoding="utf-8")
-        lines.append(f"wrote {module.rel_path}/{FROZEN_POM_NAME} "
-                     f"({len(frozen.managed_pins)} pinned)")
-        docs.append({"module": module.rel_path, "path": str(target),
-                     "pinned": len(frozen.managed_pins)})
+        target, _, pinned = result
+        lines.append(f"wrote {module.rel_path}/{FROZEN_POM_NAME} ({pinned} pinned)")
+        docs.append({"module": module.rel_path, "path": str(target), "pinned": pinned})
     _emit(args, lines, {"command": "freeze", "modules": docs})
     return EXIT_OK
 
@@ -232,8 +245,7 @@ def cmd_ci_check(args) -> int:
         _emit(args, ["lockfiles up to date"],
               {"command": "ci-check", "action": "unchanged", "updated": []})
         return EXIT_OK
-    for _, target, payload in updated:
-        target.write_bytes(payload)
+    write_files([(target, payload) for _, target, payload in updated])
     lines = [f"regenerated {rel}/{args.lockfile_name}" for rel, _, _ in updated]
     lines.append(f"{len(updated)} lockfile(s) rewritten; commit them")
     _emit(args, lines, {

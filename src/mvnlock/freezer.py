@@ -36,21 +36,6 @@ class FrozenPom:
     source_lockfile_digest: str = field(default="", compare=False)
 
 
-def _occurrence_scopes(forest: list[LockedDependency]) -> dict[tuple[str, str], list[str]]:
-    """Every recorded scope per (group, artifact), in forest order."""
-    table: dict[tuple[str, str], list[str]] = {}
-    for entry in iter_entries(forest):
-        table.setdefault(entry.ga, []).append(entry.scope)
-    return table
-
-
-def _pin_scope(ga: tuple[str, str], occurrences: dict[tuple[str, str], list[str]]) -> str:
-    scopes = occurrences.get(ga)
-    if not scopes:
-        raise MvnlockError(f"internal error: {ga[0]}:{ga[1]} not present in forest")
-    return mediate_scope(scopes)
-
-
 def scope_for_pin(ga: tuple[str, str], forest: list[LockedDependency]) -> str:
     """Scope a managed pin should carry for an artifact present in the forest.
 
@@ -58,7 +43,10 @@ def scope_for_pin(ga: tuple[str, str], forest: list[LockedDependency]) -> str:
     pin is test-scoped only when every occurrence in the forest is; otherwise
     the highest-precedence non-test scope wins (compile > runtime > provided).
     """
-    return _pin_scope(ga, _occurrence_scopes(forest))
+    scopes = [entry.scope for entry in iter_entries(forest) if entry.ga == ga]
+    if not scopes:
+        raise MvnlockError(f"internal error: {ga[0]}:{ga[1]} not present in forest")
+    return mediate_scope(scopes)
 
 
 def freeze(pom: PomModel, lockfile: Lockfile) -> FrozenPom:
@@ -82,10 +70,11 @@ def freeze(pom: PomModel, lockfile: Lockfile) -> FrozenPom:
             )
         overrides[decl.ga] = locked.version
 
-    # one occurrence table for all pins, not one scan of the forest per pin
-    occurrences = _occurrence_scopes(lockfile.dependencies)
+    # a parsed lockfile holds one entry per g:a, and generate records the scope
+    # mediated over every occurrence (ResolvedTree.recorded_scope), so the
+    # entry's own scope is the pin's
     pins = sorted(
-        (e.ga[0], e.ga[1], e.version, _pin_scope(e.ga, occurrences))
+        (e.group_id, e.artifact_id, e.version, e.scope)
         for e in lockfile.flattened()
         if not e.direct
     )

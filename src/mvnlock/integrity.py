@@ -1,7 +1,8 @@
 """Validation of a project and its artifact cache against an existing lockfile.
 
 Two independent drift channels are checked: re-resolution (catches silent
-version updates) and checksum recomputation (catches artifact tampering).
+version and scope changes) and checksum recomputation (catches artifact
+tampering).
 Environment differences are reported as warnings, never failures.
 """
 
@@ -20,6 +21,7 @@ WARNING = "warning"
 
 _KINDS = (
     "version-mismatch",
+    "scope-mismatch",
     "checksum-mismatch",
     "missing-dependency",
     "extra-dependency",
@@ -131,8 +133,7 @@ def check_environment(expected: EnvironmentMetadata | None,
     return findings
 
 
-def validate(module_pom: EffectivePom, lockfile: Lockfile | None, repo: MavenRepository,
-             skip: bool = False,
+def validate(module_pom: EffectivePom, lockfile: Lockfile, repo: MavenRepository,
              current_environment: EnvironmentMetadata | None = None,
              override_mode: str | None = None) -> ValidationReport:
     """Re-resolve with the lockfile's recorded settings and compare everything.
@@ -140,15 +141,9 @@ def validate(module_pom: EffectivePom, lockfile: Lockfile | None, repo: MavenRep
     The lockfile's recorded config wins over ambient settings; only the
     explicit ``override_mode`` changes how checksums are verified.
     """
-    module = lockfile.module if lockfile is not None else module_pom.coordinates
-    report = ValidationReport(module=module)
-    if skip:
-        report.notes.append("validation skipped by configuration")
-        return report
-    if lockfile is None:
-        raise MvnlockError("validate needs a lockfile unless the module is skipped")
-
+    report = ValidationReport(module=lockfile.module)
     tree = resolve(module_pom, repo, include_test=lockfile.config.include_test)
+    occurrences = tree.occurrence_scopes()
     current = {n.ga: n for n in tree.flattened}
     expected = {e.ga: e for e in lockfile.flattened()}
 
@@ -168,6 +163,11 @@ def validate(module_pom: EffectivePom, lockfile: Lockfile | None, repo: MavenRep
                 Finding("version-mismatch", ga[0], ga[1], want.version, have.gav.version)
             )
         else:
+            scope = tree.recorded_scope(have, occurrences)
+            if want.scope != scope:
+                report.findings.append(
+                    Finding("scope-mismatch", ga[0], ga[1], want.scope, scope)
+                )
             matching.append(want)
 
     report.findings.extend(verify_checksums(matching, repo, override_mode))

@@ -15,7 +15,6 @@ from .session import session_of
 class ProjectModule:
     rel_path: str  # "." for the root module
     directory: Path
-    pom: PomModel
     effective: EffectivePom
 
     @property
@@ -68,7 +67,7 @@ def load_project(root: Path, repo=None) -> list[ProjectModule]:
         raise ParentResolutionError(f"parent {gav} not found in project", gav)
 
     return [
-        ProjectModule(rel, directory, model, effective_pom(model, parent_loader))
+        ProjectModule(rel, directory, effective_pom(model, parent_loader))
         for rel, directory, model in raw
     ]
 

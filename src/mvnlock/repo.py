@@ -4,9 +4,9 @@ Remote repositories use the standard repository layout. ``file:`` URLs on
 this host (offline mirrors and fixtures) are read by path; http(s) and any
 other scheme go through urllib, imported on first use. The local cache
 mirrors the remote layout so it can double as a pre-populated build cache.
-Cache fills are write-to-temp + atomic rename, and each fill records the
-serving base URL in a provenance sidecar so the recorded package source is
-stable across reruns.
+Every file the package writes goes through ``write_files`` (temp file, then
+rename). Each cache fill records the serving base URL in a provenance sidecar
+so the recorded package source is stable across reruns.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .errors import (
     IntegrityFormatError,
     NotFoundError,
     OfflineError,
-    PomModelError,
     TransportError,
 )
 from .pom import Gav
@@ -56,16 +55,10 @@ class ChecksumRecord:
 
 @dataclass(frozen=True)
 class RepositoryConfig:
+    local_repo_root: Path
     remote_base_urls: tuple[str, ...] = ()
-    local_repo_root: Path | None = None
     offline: bool = False
     timeout: float = 10.0
-
-    def __post_init__(self):
-        if self.offline and self.local_repo_root is None:
-            raise PomModelError("offline mode requires a local repository root")
-        if not self.remote_base_urls and self.local_repo_root is None:
-            raise PomModelError("need at least one remote URL or a local repository root")
 
 
 def artifact_rel_path(gav: Gav, packaging: str = "jar", classifier: str | None = None) -> str:
@@ -86,16 +79,26 @@ def parse_checksum_text(text: str, algorithm: str, mode: str) -> ChecksumRecord:
     return ChecksumRecord(algorithm=algorithm, digest=token.lower(), mode=mode)
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    # temp-then-rename keeps concurrent fills of the same coordinate safe
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+def write_files(files: list[tuple[Path, bytes]]) -> None:
+    """Write every file or none; the one place the package writes a file.
+
+    Each file is staged as a temp file beside its target, then all are renamed
+    over their targets in list order. If staging fails, the temp files are
+    deleted and every target is left untouched.
+    """
+    staged: list[tuple[str, Path]] = []
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
+        for path, data in files:
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+            staged.append((tmp, path))
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
+        for tmp, path in staged:
+            os.replace(tmp, path)
     finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
 
 def _read_or_none(path: str | Path) -> bytes | None:
@@ -136,10 +139,6 @@ class MavenRepository:
 
     # --- low-level access ---
 
-    def _cache_path(self, rel_path: str) -> Path | None:
-        root = self.config.local_repo_root
-        return root / rel_path if root is not None else None
-
     def _fetch_remote(self, rel_path: str) -> tuple[bytes, str]:
         """Try each remote in order; return (bytes, base url) of the first hit."""
         if self.config.offline:
@@ -157,25 +156,24 @@ class MavenRepository:
         raise NotFoundError(f"{rel_path} not found in any configured repository")
 
     def _write_cache(self, rel_path: str, data: bytes, source: str | None) -> Path:
-        path = self._cache_path(rel_path)
+        path = self.config.local_repo_root / rel_path
         path.parent.mkdir(parents=True, exist_ok=True)
         # the marker lands first: whoever sees the artifact also sees its source,
         # and a crash between the two leaves no artifact to misattribute
+        files = [(path, data)]
         if source is not None:
-            _atomic_write(path.parent / (path.name + _SOURCE_SUFFIX),
-                          (source + "\n").encode("utf-8"))
-        _atomic_write(path, data)
+            files.insert(0, (path.parent / (path.name + _SOURCE_SUFFIX),
+                             (source + "\n").encode("utf-8")))
+        write_files(files)
         return path
 
     def _ensure_cached(self, rel_path: str) -> Path:
-        cached = self._cache_path(rel_path)
-        if cached is not None and cached.is_file():
+        cached = self.config.local_repo_root / rel_path
+        if cached.is_file():
             return cached
         if self.config.offline:
             raise OfflineError(f"offline and not cached: {rel_path}")
         data, base = self._fetch_remote(rel_path)
-        if cached is None:
-            raise NotFoundError(f"no local repository root to cache {rel_path}")
         return self._write_cache(rel_path, data, base)
 
     # --- public operations ---
@@ -197,11 +195,10 @@ class MavenRepository:
     def source_of(self, gav: Gav, packaging: str = "jar",
                   classifier: str | None = None) -> str:
         """Base URL the cached artifact came from, or 'local' if unknown."""
-        cached = self._cache_path(artifact_rel_path(gav, packaging, classifier))
-        if cached is not None:
-            marker = cached.parent / (cached.name + _SOURCE_SUFFIX)
-            if marker.is_file():
-                return marker.read_text(encoding="utf-8").strip()
+        cached = self.config.local_repo_root / artifact_rel_path(gav, packaging, classifier)
+        marker = cached.parent / (cached.name + _SOURCE_SUFFIX)
+        if marker.is_file():
+            return marker.read_text(encoding="utf-8").strip()
         return "local"
 
     def checksum_local(self, gav: Gav, packaging: str = "jar", algorithm: str = "sha256",
@@ -254,15 +251,14 @@ class MavenRepository:
         (group, artifact).
         """
         rel = metadata_rel_path(group_id, artifact_id)
+        cached = self.config.local_repo_root / rel
         if self.config.offline:
-            cached = self._cache_path(rel)
-            if cached is None or not cached.is_file():
+            if not cached.is_file():
                 raise NotFoundError(f"no cached version metadata for {group_id}:{artifact_id}")
             data = cached.read_bytes()
         else:
             data, _ = self._fetch_remote(rel)
-            cached = self._cache_path(rel)
-            if cached is not None and _read_or_none(cached) != data:
+            if _read_or_none(cached) != data:
                 self._write_cache(rel, data, None)
         try:
             root = ET.fromstring(data)

@@ -80,7 +80,6 @@ def apply_exclusions(
 class ResolvedNode:
     gav: Gav
     effective_scope: str
-    declared_scope: str
     depth: int
     parent_path: tuple[Gav, ...]
     selected: bool
@@ -96,7 +95,6 @@ class ResolvedNode:
 
 @dataclass
 class ResolvedTree:
-    root: Gav
     nodes: list[ResolvedNode]
     warnings: list[str] = field(default_factory=list)
 
@@ -173,7 +171,11 @@ def resolve(pom: EffectivePom, repo, include_test: bool = True) -> ResolvedTree:
                 f"cannot list versions of {decl.group_id}:{decl.artifact_id}: {exc}",
                 path=path,
             ) from exc
-        return resolve_range(spec, available)
+        try:
+            return resolve_range(spec, available)
+        except EmptyRangeError as exc:
+            raise EmptyRangeError(f"{decl.group_id}:{decl.artifact_id}: {exc}",
+                                  path=path) from exc
 
     def make_node(decl: DependencyDecl, parent: ResolvedNode | None) -> ResolvedNode | None:
         if parent is None:
@@ -200,7 +202,6 @@ def resolve(pom: EffectivePom, repo, include_test: bool = True) -> ResolvedTree:
         node = ResolvedNode(
             gav=gav,
             effective_scope=effective_scope,
-            declared_scope=decl.scope,
             depth=depth,
             parent_path=path,
             selected=decl.ga not in winners,
@@ -236,4 +237,4 @@ def resolve(pom: EffectivePom, repo, include_test: bool = True) -> ResolvedTree:
             if child.selected:
                 queue.append(child)
 
-    return ResolvedTree(root=root_gav, nodes=forest, warnings=warnings)
+    return ResolvedTree(nodes=forest, warnings=warnings)

@@ -8,7 +8,9 @@ against input the implementation did not produce.
 from __future__ import annotations
 
 import hashlib
+import os
 import random
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -352,3 +354,27 @@ def flip_byte(path: Path, offset: int) -> bytes:
     mutated[offset % len(original)] ^= 0xFF
     path.write_bytes(bytes(mutated))
     return original
+
+
+def fail_staging(monkeypatch, k: int, names: tuple[str, ...] = ()) -> list[str]:
+    """Make the k-th (0-based) file staged by ``write_files`` fail to write.
+
+    With ``names``, only temp files staged for targets of those names count.
+    The temp file is created, then handed back read-only, so the write raises
+    OSError the way a full disk would, after the temp file exists. Returns
+    the counted temp file paths as they are staged.
+    """
+    real = tempfile.mkstemp
+    staged: list[str] = []
+
+    def mkstemp(*args, prefix="", **kwargs):
+        fd, tmp = real(*args, prefix=prefix, **kwargs)
+        if not names or any(prefix == name + "." for name in names):
+            staged.append(tmp)
+            if len(staged) == k + 1:
+                os.close(fd)
+                fd = os.open(tmp, os.O_RDONLY)
+        return fd, tmp
+
+    monkeypatch.setattr(tempfile, "mkstemp", mkstemp)
+    return staged

@@ -2,7 +2,15 @@ import json
 
 import pytest
 
-from conftest import break_core, build_aggregator, build_single, flip_byte
+from conftest import (
+    break_core,
+    build_aggregator,
+    build_single,
+    dep_xml,
+    fail_staging,
+    flip_byte,
+    pom_xml,
+)
 from mvnlock.cli import main
 
 
@@ -61,7 +69,9 @@ class TestGenerate:
         fixture = build_aggregator(tmp_path)
         break_core(fixture)
         assert run(fixture, "generate") == 2
-        assert capsys.readouterr().err.startswith("mvnlock: error: module core: ")
+        err = capsys.readouterr().err
+        assert err.startswith("mvnlock: error: module core: ")
+        assert "org.acme:lib-b" in err
         for rel in fixture.module_paths:
             assert not (fixture.project_root / rel / "lockfile.json").exists()
 
@@ -122,6 +132,45 @@ class TestValidate:
         assert run(single_fixture, "validate") == 1
         assert run(single_fixture, "validate", "--skip-module", ".") == 0
 
+    def test_skip_passes_with_note(self, single_fixture, capsys):
+        # no lockfile is needed for a skipped module
+        assert run(single_fixture, "validate", "--skip-module", ".") == 0
+        out = capsys.readouterr().out
+        assert "module . (com.acme:app:1.0.0): ok" in out
+        assert "  note: validation skipped by configuration" in out
+        assert run(single_fixture, "validate", "--skip-module", ".", "--format", "machine") == 0
+        (report,) = json.loads(capsys.readouterr().out)["reports"]
+        assert report["passed"] is True and report["findings"] == []
+        assert report["notes"] == ["validation skipped by configuration"]
+        assert report["modulePath"] == "."
+
+    def test_module_failure_names_module_and_artifact(self, tmp_path, capsys):
+        fixture = build_aggregator(tmp_path)
+        assert run(fixture, "generate") == 0
+        break_core(fixture)
+        capsys.readouterr()
+        assert run(fixture, "validate") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mvnlock: error: module core: ")
+        assert "org.acme:lib-b" in err
+
+    def test_scope_edit_is_a_finding(self, single_fixture, capsys):
+        assert run(single_fixture, "generate") == 0
+        (single_fixture.project_root / "pom.xml").write_text(pom_xml(
+            "com.acme", "app", "1.0.0",
+            deps=(dep_xml("com.google.code.gson", "gson", "2.13.2", scope="runtime"),
+                  dep_xml("org.acme", "util", "1.0", scope="provided")),
+        ), encoding="utf-8")
+        capsys.readouterr()
+        assert run(single_fixture, "validate", "--format", "machine") == 1
+        (report,) = json.loads(capsys.readouterr().out)["reports"]
+        assert [(f["kind"], f["artifactId"], f["expected"], f["actual"])
+                for f in report["findings"]] == [
+            ("scope-mismatch", "gson", "compile", "runtime"),
+            ("scope-mismatch", "text", "compile", "provided"),
+            ("scope-mismatch", "util", "compile", "provided"),
+        ]
+
     def test_environment_drift_warns_but_passes(self, single_fixture, capsys):
         assert run(single_fixture, "generate", "--include-environment",
                    "--env-os", "CI", "--env-java", "17", "--env-maven", "3.9") == 0
@@ -157,6 +206,26 @@ class TestFreeze:
 
     def test_missing_lockfile_exits_two(self, single_fixture):
         assert run(single_fixture, "freeze") == 2
+
+    def test_missing_module_lockfile_writes_no_frozen_pom(self, tmp_path, capsys):
+        fixture = build_aggregator(tmp_path)
+        assert run(fixture, "generate") == 0
+        (fixture.project_root / "web" / "lockfile.json").unlink()
+        capsys.readouterr()
+        assert run(fixture, "freeze") == 2
+        assert "module web: missing lockfile.json" in capsys.readouterr().err
+        assert list(fixture.project_root.rglob("pom.lockfile.xml")) == []
+
+    def test_module_failure_names_module(self, tmp_path, capsys):
+        fixture = build_aggregator(tmp_path)
+        assert run(fixture, "generate") == 0
+        break_core(fixture)
+        capsys.readouterr()
+        assert run(fixture, "freeze") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mvnlock: error: module core: ")
+        assert "org.acme:lib-b" in err
+        assert list(fixture.project_root.rglob("pom.lockfile.xml")) == []
 
 
 class TestCiCheck:
@@ -214,6 +283,51 @@ class TestCiCheck:
         fixture = build_aggregator(tmp_path)
         assert run(fixture, "generate") == 0
         assert run(fixture, "ci-check", "--changed-file", "core/pom.xml") == 0
+
+
+OUTPUTS = ("lockfile.json", "pom.lockfile.xml")
+
+
+def outputs(fixture) -> dict:
+    return {path: path.read_bytes() for rel in fixture.module_paths for name in OUTPUTS
+            if (path := fixture.project_root / rel / name).is_file()}
+
+
+class TestAllOrNothing:
+    """A write failure on any module's output leaves every output as it was."""
+
+    COMMANDS = {
+        "generate": (("generate",), 0, "lockfile.json"),
+        "ci-check": (("ci-check", "--changed-file", "pom.xml"), 3, "lockfile.json"),
+        "freeze": (("freeze",), 0, "pom.lockfile.xml"),
+    }
+
+    @pytest.mark.parametrize("k", range(3))
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_kth_output_write_failure_changes_nothing(self, tmp_path, monkeypatch,
+                                                      command, k):
+        fixture = build_aggregator(tmp_path)
+        # sha256 lockfiles and their frozen POMs, then sha1 lockfiles: each
+        # command below now has a different file to write for every module
+        assert run(fixture, "generate") == 0
+        assert run(fixture, "freeze") == 0
+        assert run(fixture, "generate", "--checksum-algorithm", "sha1") == 0
+        argv, exit_code, written = self.COMMANDS[command]
+        before = outputs(fixture)
+        assert len(before) == 6
+
+        staged = fail_staging(monkeypatch, k, OUTPUTS)
+        assert run(fixture, *argv) == 2
+        assert len(staged) == k + 1
+        assert outputs(fixture) == before
+        assert {p.name for p in fixture.project_root.rglob("*") if p.is_file()} \
+            <= {"pom.xml", *OUTPUTS}
+
+        monkeypatch.undo()
+        assert run(fixture, *argv) == exit_code
+        after = outputs(fixture)
+        assert [p for p in before if after[p] != before[p]] == \
+            [fixture.project_root / rel / written for rel in fixture.module_paths]
 
 
 class TestOfflineAndWorkers:

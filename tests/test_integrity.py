@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import flip_byte
+from conftest import dep_xml, flip_byte, pom_xml
 from mvnlock.errors import ResolutionError
 from mvnlock.integrity import Finding, ValidationReport, check_environment, validate, verify_checksums
 from mvnlock.lockfile import EnvironmentMetadata, LockfileConfig, generate_lockfile
@@ -129,13 +129,29 @@ class TestEnvironment:
         assert len(drift) == 1 and drift[0].severity == "warning"
 
 
-class TestReportShape:
-    def test_skip_passes_with_note(self, single_fixture):
+class TestScopeDrift:
+    def test_scope_edit_is_a_finding_and_checksums_still_checked(self, single_fixture):
         module, lock, repo = generated(single_fixture)
-        report = validate(module.effective, lock, repo, skip=True)
-        assert report.passed and report.findings == []
-        assert any("skip" in note for note in report.notes)
+        (single_fixture.project_root / "pom.xml").write_text(pom_xml(
+            "com.acme", "app", "1.0.0",
+            deps=(dep_xml("com.google.code.gson", "gson", "2.13.2", scope="runtime"),
+                  dep_xml("org.acme", "util", "1.0", scope="provided")),
+        ), encoding="utf-8")
+        (module,) = load_project(single_fixture.project_root, repo)
+        flip_byte(single_fixture.cached_artifact("org.acme", "util", "1.0"), 3)
+        report = validate(module.effective, lock, repo)
+        locked = {e.artifact_id: e for e in lock.flattened()}
+        assert not report.passed
+        assert [(f.kind, f.artifact_id, f.expected, f.actual) for f in report.findings] == [
+            ("checksum-mismatch", "util", locked["util"].checksum.digest,
+             repo.checksum_local(Gav("org.acme", "util", "1.0")).digest),
+            ("scope-mismatch", "gson", "compile", "runtime"),
+            ("scope-mismatch", "text", "compile", "provided"),
+            ("scope-mismatch", "util", "compile", "provided"),
+        ]
 
+
+class TestReportShape:
     def test_findings_sorted_and_deterministic(self, single_fixture):
         module, lock, repo = generated(single_fixture)
         lock.dependencies = []  # everything becomes an extra-dependency

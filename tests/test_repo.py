@@ -10,7 +10,7 @@ import pytest
 
 import mvnlock
 import mvnlock.repo as repo_module
-from conftest import RepoBuilder
+from conftest import RepoBuilder, fail_staging
 from mvnlock.cli import main
 from mvnlock.errors import (
     ChecksumUnavailableError,
@@ -26,6 +26,7 @@ from mvnlock.repo import (
     artifact_rel_path,
     metadata_rel_path,
     parse_checksum_text,
+    write_files,
 )
 
 GSON = Gav("com.google.code.gson", "gson", "2.13.2")
@@ -257,6 +258,50 @@ class TestConcurrency:
         monkeypatch.setattr(os, "replace", replace_then_look)
         client.fetch_artifact(GSON)
         assert seen == [builder.url]
+
+
+class TestWriteFiles:
+    @staticmethod
+    def files(tmp_path):
+        """Three targets: two hold old bytes, one does not exist yet."""
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "one").write_bytes(b"old one")
+        (tmp_path / "sub" / "two").write_bytes(b"old two")
+        return [(tmp_path / "one", b"new one"), (tmp_path / "sub" / "two", b"new two"),
+                (tmp_path / "three", b"new three")]
+
+    @staticmethod
+    def snapshot(root):
+        return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    def test_writes_every_file_renaming_in_list_order(self, tmp_path, monkeypatch):
+        files = self.files(tmp_path)
+        real_replace = os.replace
+        renamed = []
+
+        def recording_replace(src, dst):
+            renamed.append(Path(dst))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", recording_replace)
+        write_files(files)
+        assert renamed == [path for path, _ in files]
+        assert self.snapshot(tmp_path) == dict(files)
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_failure_on_kth_staged_file_leaves_every_target(self, tmp_path, monkeypatch, k):
+        files = self.files(tmp_path)
+        before = self.snapshot(tmp_path)
+        staged = fail_staging(monkeypatch, k)
+        with pytest.raises(OSError):
+            write_files(files)
+        assert len(staged) == k + 1
+        # same targets, same bytes, and no temp file left beside any of them
+        assert self.snapshot(tmp_path) == before
+
+    def test_empty_list_writes_nothing(self, tmp_path):
+        write_files([])
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCacheCoherence:
