@@ -71,7 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="module path to skip, repeatable ('.' is the root)")
     common.add_argument("--format", choices=("text", "machine"), default="text")
     common.add_argument("--workers", type=int, default=4, metavar="N",
-                        help="modules processed in parallel (output stays ordered)")
+                        help="threads that resolve modules and fetch and hash "
+                             "artifacts; never multiplied, and output order does not "
+                             "depend on it")
     common.add_argument("--env-os", metavar="NAME", help="override probed OS name")
     common.add_argument("--env-java", metavar="VERSION", help="override probed Java version")
     common.add_argument("--env-maven", metavar="VERSION", help="override probed Maven version")

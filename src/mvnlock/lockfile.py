@@ -27,7 +27,7 @@ from .errors import (
 from .pom import EffectivePom, Gav
 from .project import ProjectModule, for_each, load_project
 from .repo import ALGORITHMS, ChecksumRecord, MavenRepository
-from .resolver import ResolvedNode, resolve
+from .resolver import ResolvedNode, ResolvedTree, resolve
 from .session import session_of
 
 LOCKFILE_VERSION = 1
@@ -114,40 +114,60 @@ def iter_entries(entries: list[LockedDependency]) -> Iterator[LockedDependency]:
 # --- generation ---
 
 
+Job = tuple[Gav, str, str | None]  # (gav, packaging, classifier) of one artifact
+
+
+def _plugin_gavs(module_pom: EffectivePom, config: LockfileConfig) -> list[Gav]:
+    """The build plugins the lockfile locks: none unless plugins are included."""
+    if not config.include_plugins:
+        return []
+    gavs = []
+    for plugin in module_pom.plugins:
+        if not plugin.version:
+            raise GenerationError(
+                f"plugin {plugin.group_id}:{plugin.artifact_id} has no version to lock"
+            )
+        gavs.append(Gav(plugin.group_id, plugin.artifact_id, plugin.version))
+    return gavs
+
+
+def _checksum_jobs(tree: ResolvedTree, plugin_gavs: list[Gav]) -> list[Job]:
+    """Every artifact a lockfile records a checksum for: its selected nodes, then plugins."""
+    return ([(n.gav, n.packaging, n.classifier) for n in tree.flattened]
+            + [(gav, "jar", None) for gav in plugin_gavs])
+
+
+def _fetch_checksum(repo, config: LockfileConfig,
+                    job: Job) -> tuple[ChecksumRecord, str] | None:
+    """The record and its source, or None when no checksum is published."""
+    gav, packaging, classifier = job
+    try:
+        if config.checksum_mode == "remote":
+            return repo.checksum_remote_with_source(
+                gav, packaging, config.checksum_algorithm, classifier
+            )
+        record = repo.checksum_local(gav, packaging, config.checksum_algorithm, classifier)
+        return record, repo.source_of(gav, packaging, classifier)
+    except ChecksumUnavailableError:
+        return None
+
+
 def generate_lockfile(module_pom: EffectivePom, config: LockfileConfig,
                       repo: MavenRepository,
                       environment: EnvironmentMetadata | None = None,
-                      max_workers: int = 4) -> Lockfile:
-    """Resolve the module and attach a checksum to every selected node."""
-    tree = resolve(module_pom, repo, include_test=config.include_test)
-    selected = tree.flattened
+                      max_workers: int = 4, tree: ResolvedTree | None = None) -> Lockfile:
+    """Attach a checksum to every selected node of the module's tree.
+
+    Without ``tree`` the module is resolved first. Checksums are fetched
+    ``max_workers`` at a time; the lockfile does not depend on their order.
+    """
+    if tree is None:
+        tree = resolve(module_pom, repo, include_test=config.include_test)
     occurrences = tree.occurrence_scopes()
-
-    def fetch_checksum(item: tuple[Gav, str, str | None]) -> tuple[ChecksumRecord, str] | None:
-        """The record and its source, or None when no checksum is published."""
-        gav, packaging, classifier = item
-        try:
-            if config.checksum_mode == "remote":
-                return repo.checksum_remote_with_source(
-                    gav, packaging, config.checksum_algorithm, classifier
-                )
-            record = repo.checksum_local(gav, packaging, config.checksum_algorithm, classifier)
-            return record, repo.source_of(gav, packaging, classifier)
-        except ChecksumUnavailableError:
-            return None
-
-    plugin_gavs: list[Gav] = []
-    if config.include_plugins:
-        for plugin in module_pom.plugins:
-            if not plugin.version:
-                raise GenerationError(
-                    f"plugin {plugin.group_id}:{plugin.artifact_id} has no version to lock"
-                )
-            plugin_gavs.append(Gav(plugin.group_id, plugin.artifact_id, plugin.version))
-
-    jobs = [(n.gav, n.packaging, n.classifier) for n in selected]
-    jobs += [(gav, "jar", None) for gav in plugin_gavs]
-    checksums = dict(zip(jobs, for_each(jobs, fetch_checksum, max_workers)))
+    plugin_gavs = _plugin_gavs(module_pom, config)
+    jobs = _checksum_jobs(tree, plugin_gavs)
+    checksums = dict(zip(jobs, for_each(jobs, lambda job: _fetch_checksum(repo, config, job),
+                                        max_workers)))
     unavailable = [job[0] for job, outcome in checksums.items() if outcome is None]
     if unavailable:
         raise GenerationError(
@@ -199,20 +219,53 @@ def generate_all(project_root: Path, config: LockfileConfig, repo: MavenReposito
                  workers: int = 4) -> list[tuple[str, Lockfile]]:
     """One lockfile per module, root included (aggregators lock an empty forest).
 
-    ``workers`` modules run at a time; results come in module order. All
-    modules read the repository through one session, so they share a single
-    snapshot of it. A module's failure is a ``GenerationError`` naming it.
+    All modules read the repository through one session, so they share a
+    single snapshot of it. The work runs in three passes, one after another,
+    each with at most ``workers`` threads:
+
+    1. resolve every module, ``workers`` modules at a time;
+    2. fetch and hash each distinct artifact of all modules once, ``workers``
+       artifacts at a time, into the session;
+    3. assemble each module's lockfile in module order on the calling thread,
+       where every checksum is a session hit.
+
+    Results come in module order. An error in pass 1 or 2 is kept in the
+    session or beside its module and raised by pass 3, so the first failing
+    module in module order is the one reported, as a ``GenerationError``
+    naming it.
     """
     session = session_of(repo)
+    modules = load_project(project_root, session)
 
-    def run(module: ProjectModule) -> tuple[str, Lockfile]:
+    def resolve_module(module: ProjectModule) -> tuple[ResolvedTree | Exception, list[Job]]:
         try:
-            lock = generate_lockfile(module.effective, config, session, environment=environment)
+            tree = resolve(module.effective, session, include_test=config.include_test)
+            return tree, _checksum_jobs(tree, _plugin_gavs(module.effective, config))
+        except Exception as exc:  # raised by pass 3, in module order
+            return exc, []
+
+    resolved = for_each(modules, resolve_module, workers)
+
+    def fill(job: Job) -> None:
+        try:
+            _fetch_checksum(session, config, job)
+        except Exception:  # the session keeps it; pass 3 raises it for its module
+            pass
+
+    jobs = list(dict.fromkeys(job for _, module_jobs in resolved for job in module_jobs))
+    for_each(jobs, fill, workers)
+
+    results = []
+    for module, (tree, _) in zip(modules, resolved):
+        try:
+            if isinstance(tree, Exception):
+                raise tree
+            lock = generate_lockfile(module.effective, config, session,
+                                     environment=environment, max_workers=1, tree=tree)
         except MvnlockError as exc:
             raise GenerationError(f"module {module.rel_path}: {exc}") from exc
-        return module.rel_path, lock
-
-    return for_each(load_project(project_root, session), run, workers)
+        results.append((module.rel_path, lock))
+    return results
 
 
 # --- canonical serialization ---

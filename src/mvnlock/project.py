@@ -76,6 +76,10 @@ def for_each(items: list, worker, workers: int) -> list:
     """Apply worker to every item, ``workers`` at a time; results in item order.
 
     The first error in item order propagates once every started call is done.
+    This is the package's one thread pool, and no worker opens another, so a
+    command never runs more than ``workers`` threads besides its own: generate
+    calls it once per pass (resolve the modules, then fetch and hash their
+    distinct artifacts) and assembles the lockfiles itself, one by one.
     """
     if workers <= 1 or len(items) <= 1:
         return [worker(item) for item in items]

@@ -23,6 +23,7 @@ from urllib.parse import unquote, urlsplit
 from .errors import (
     ChecksumUnavailableError,
     IntegrityFormatError,
+    MvnlockError,
     NotFoundError,
     OfflineError,
     TransportError,
@@ -84,7 +85,8 @@ def write_files(files: list[tuple[Path, bytes]]) -> None:
 
     Each file is staged as a temp file beside its target, then all are renamed
     over their targets in list order. If staging fails, the temp files are
-    deleted and every target is left untouched.
+    deleted and every target is left untouched. An ``OSError`` is raised as
+    an ``MvnlockError`` naming the target it was writing.
     """
     staged: list[tuple[str, Path]] = []
     try:
@@ -95,6 +97,8 @@ def write_files(files: list[tuple[Path, bytes]]) -> None:
                 handle.write(data)
         for tmp, path in staged:
             os.replace(tmp, path)
+    except OSError as exc:
+        raise MvnlockError(f"cannot write {path}: {exc.strerror or exc}") from exc
     finally:
         for tmp, _ in staged:
             if os.path.exists(tmp):

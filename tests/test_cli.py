@@ -330,6 +330,16 @@ class TestAllOrNothing:
             [fixture.project_root / rel / written for rel in fixture.module_paths]
 
 
+    def test_write_failure_names_the_file(self, tmp_path, monkeypatch, capsys):
+        fixture = build_aggregator(tmp_path)
+        fail_staging(monkeypatch, 1, ("lockfile.json",))
+        assert run(fixture, "generate") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"mvnlock: error: cannot write {fixture.project_root / 'core' / 'lockfile.json'}: ")
+        assert not list(fixture.project_root.rglob("lockfile.json*"))
+
+
 class TestOfflineAndWorkers:
     def test_validate_offline_after_online_generate(self, single_fixture):
         assert run(single_fixture, "generate") == 0

@@ -2,12 +2,13 @@ import copy
 import hashlib
 import random
 import subprocess
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
-from conftest import RepoBuilder, dep_xml, pom_xml
+from conftest import RepoBuilder, build_aggregator, dep_xml, pom_xml
 from mvnlock.errors import (
     GenerationError,
     LockfileSchemaError,
@@ -30,6 +31,24 @@ from mvnlock.project import load_project
 from mvnlock.resolver import resolve
 
 GOLDEN = Path(__file__).parent / "data" / "golden_lockfile.json"
+
+
+class JitterRepo:
+    """A repository whose checksum methods sleep a random while first."""
+
+    def __init__(self, inner, seed):
+        self._inner = inner
+        self._rng = random.Random(seed)
+
+    def __getattr__(self, name):
+        attr = getattr(self._inner, name)
+        if name.startswith("checksum"):
+            def jittered(*args, **kwargs):
+                time.sleep(self._rng.uniform(0, 0.02))
+                return attr(*args, **kwargs)
+
+            return jittered
+        return attr
 
 
 def module_effective(fixture, rel="."):
@@ -222,6 +241,48 @@ class TestGenerateAll:
         assert isinstance(info.value.__cause__, ResolutionError)
 
 
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_threads_never_exceed_workers(self, tmp_path, workers):
+        class CountingRepo:
+            """Records the live thread count inside every checksum_local call."""
+
+            def __init__(self, inner):
+                self._inner = inner
+                self.counts = []
+
+            def checksum_local(self, *args, **kwargs):
+                time.sleep(0.02)  # keeps concurrent calls alive side by side
+                self.counts.append(threading.active_count())
+                return self._inner.checksum_local(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+        fixture = build_aggregator(tmp_path)
+        repo = CountingRepo(fixture.repository())
+        before = threading.active_count()
+        generate_all(fixture.project_root, LockfileConfig(), repo, workers=workers)
+        assert len(repo.counts) == 5  # each distinct artifact hashed once
+        assert max(repo.counts) <= before + workers
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_first_failing_module_wins_across_passes(self, tmp_path, workers):
+        fixture = build_aggregator(tmp_path)
+        # core (earlier) loses a published checksum, web (later) cannot resolve
+        fixture.repo.artifact_path("com.google.code.gson", "gson", "2.13.2",
+                                   "jar.sha256").unlink()
+        fixture.repo.artifact_path("org.acme", "lib-a", "1.0", "pom").unlink()
+        repo = fixture.repository()
+        web = load_project(fixture.project_root, repo)[2]
+        with pytest.raises(ResolutionError):
+            resolve(web.effective, repo)
+        with pytest.raises(GenerationError) as info:
+            generate_all(fixture.project_root, LockfileConfig(checksum_mode="remote"), repo,
+                         workers=workers)
+        assert str(info.value) == \
+            "module core: no published checksum for: com.google.code.gson:gson:2.13.2"
+
+
 class TestCanonicalForm:
     def test_golden_round_trip(self):
         payload = GOLDEN.read_bytes()
@@ -290,26 +351,22 @@ class TestDeterminism:
         assert first == second
 
     def test_adversarial_scheduler(self, single_fixture):
-        class JitterRepo:
-            def __init__(self, inner, seed):
-                self._inner = inner
-                self._rng = random.Random(seed)
-
-            def __getattr__(self, name):
-                attr = getattr(self._inner, name)
-                if name.startswith("checksum"):
-                    def jittered(*args, **kwargs):
-                        time.sleep(self._rng.uniform(0, 0.02))
-                        return attr(*args, **kwargs)
-
-                    return jittered
-                return attr
-
         effective, repo = module_effective(single_fixture)
         payloads = {
             serialize(generate_lockfile(effective, LockfileConfig(),
                                         JitterRepo(repo, seed), max_workers=4))
             for seed in range(6)
+        }
+        assert len(payloads) == 1
+
+    @pytest.mark.parametrize("mode", ["local", "remote"])
+    def test_adversarial_scheduler_all_modules(self, fixture, mode):
+        config = LockfileConfig(checksum_mode=mode)
+        payloads = {
+            tuple((rel, serialize(lock)) for rel, lock in generate_all(
+                fixture.project_root, config, JitterRepo(fixture.repository(), seed),
+                workers=workers))
+            for seed in range(3) for workers in (1, 4)
         }
         assert len(payloads) == 1
 

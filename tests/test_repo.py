@@ -15,6 +15,7 @@ from mvnlock.cli import main
 from mvnlock.errors import (
     ChecksumUnavailableError,
     IntegrityFormatError,
+    MvnlockError,
     NotFoundError,
     OfflineError,
     TransportError,
@@ -293,7 +294,7 @@ class TestWriteFiles:
         files = self.files(tmp_path)
         before = self.snapshot(tmp_path)
         staged = fail_staging(monkeypatch, k)
-        with pytest.raises(OSError):
+        with pytest.raises(MvnlockError, match=f"^cannot write {re.escape(str(files[k][0]))}: "):
             write_files(files)
         assert len(staged) == k + 1
         # same targets, same bytes, and no temp file left beside any of them
