@@ -1,12 +1,16 @@
 """Artifact repository client: remote fetches, local cache, checksums.
 
 Remote repositories use the standard repository layout. ``file:`` URLs on
-this host (offline mirrors and fixtures) are read by path; http(s) and any
+this host (offline mirrors and fixtures) are opened by path; http(s) and any
 other scheme go through urllib, imported on first use. The local cache
 mirrors the remote layout so it can double as a pre-populated build cache.
 Every file the package writes goes through ``write_files`` (temp file, then
-rename). Each cache fill records the serving base URL in a provenance sidecar
-so the recorded package source is stable across reruns.
+rename). A cache fill streams from the source into that temp file in
+fixed-size chunks, so no run holds a whole artifact in memory, and a local
+checksum of a freshly filled artifact is taken from those chunks as they
+arrive instead of from a second read of the cached copy. Each cache fill
+records the serving base URL in a provenance sidecar so the recorded package
+source is stable across reruns.
 """
 
 from __future__ import annotations
@@ -14,10 +18,12 @@ from __future__ import annotations
 import hashlib
 import os
 import re
+import sys
 import tempfile
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO, Iterable
 from urllib.parse import unquote, urlsplit
 
 from .errors import (
@@ -35,6 +41,7 @@ ALGORITHMS = {"sha1": 40, "sha256": 64, "sha512": 128}
 _HEX_RE = re.compile(r"^[0-9a-f]+$")
 _SOURCE_SUFFIX = ".source"
 _MISSING = (FileNotFoundError, IsADirectoryError, NotADirectoryError)
+_CHUNK = 1 << 20  # files are opened unbuffered, so each read is one syscall of this size
 
 
 @dataclass(frozen=True)
@@ -80,13 +87,15 @@ def parse_checksum_text(text: str, algorithm: str, mode: str) -> ChecksumRecord:
     return ChecksumRecord(algorithm=algorithm, digest=token.lower(), mode=mode)
 
 
-def write_files(files: list[tuple[Path, bytes]]) -> None:
+def write_files(files: list[tuple[Path, bytes | Iterable[bytes]]]) -> None:
     """Write every file or none; the one place the package writes a file.
 
-    Each file is staged as a temp file beside its target, then all are renamed
-    over their targets in list order. If staging fails, the temp files are
-    deleted and every target is left untouched. An ``OSError`` is raised as
-    an ``MvnlockError`` naming the target it was writing.
+    Each file's content is ``bytes`` or an iterable of byte chunks. Each file
+    is staged as a temp file beside its target, then all are renamed over
+    their targets in list order. If staging fails, the temp files are deleted
+    and every target is left untouched. An ``OSError`` is raised as an
+    ``MvnlockError`` naming the target it was writing; any other exception
+    from a chunk iterator propagates as it is.
     """
     staged: list[tuple[str, Path]] = []
     try:
@@ -94,7 +103,8 @@ def write_files(files: list[tuple[Path, bytes]]) -> None:
             fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
             staged.append((tmp, path))
             with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
+                for chunk in (data,) if isinstance(data, bytes) else data:
+                    handle.write(chunk)
         for tmp, path in staged:
             os.replace(tmp, path)
     except OSError as exc:
@@ -105,26 +115,25 @@ def write_files(files: list[tuple[Path, bytes]]) -> None:
                 os.unlink(tmp)
 
 
-def _read_or_none(path: str | Path) -> bytes | None:
-    """The file's bytes, or None when no file is there."""
-    try:
-        with open(path, "rb") as handle:
-            return handle.read()
-    except _MISSING:
-        return None
+def _transport_errors() -> tuple[type[Exception], ...]:
+    """What a fetch can raise: OSError, and http.client's errors once urllib loaded it."""
+    http = sys.modules.get("http.client")
+    return (OSError, http.HTTPException) if http else (OSError,)
 
 
-def _get(url: str, timeout: float) -> bytes | None:
-    """The bytes at url, or None when nothing is there; other failures raise OSError."""
+def _open(url: str, timeout: float) -> BinaryIO | None:
+    """A binary stream of the bytes at url, or None when nothing is there."""
     parts = urlsplit(url)
     if parts.scheme == "file" and parts.netloc in ("", "localhost"):
-        return _read_or_none(unquote(parts.path))
+        try:
+            return open(unquote(parts.path), "rb", buffering=0)
+        except _MISSING:
+            return None
     # http.client, ssl and email load only for a repository that needs them
     import urllib.error
     import urllib.request
     try:
-        with urllib.request.urlopen(url, timeout=timeout) as response:
-            return response.read()
+        return urllib.request.urlopen(url, timeout=timeout)
     except urllib.error.HTTPError as exc:
         if exc.code == 404:
             return None
@@ -135,6 +144,36 @@ def _get(url: str, timeout: float) -> bytes | None:
         raise
 
 
+def _chunks(stream: BinaryIO, digest=None) -> Iterable[bytes]:
+    """The stream's bytes in fixed-size chunks, each fed to ``digest`` if given."""
+    for chunk in iter(lambda: stream.read(_CHUNK), b""):
+        if digest is not None:
+            digest.update(chunk)
+        yield chunk
+
+
+def _download(stream: BinaryIO, url: str, digest=None) -> Iterable[bytes]:
+    """``_chunks`` of the stream fetched from url.
+
+    A failed read, or a body that ends short of its length, raises
+    ``TransportError`` naming the url.
+    """
+    try:
+        yield from _chunks(stream, digest)
+    except _transport_errors() as exc:
+        raise TransportError(f"fetching {url}: {exc}") from exc
+    # an http.client response whose Content-Length body is cut short reads as
+    # a clean end of stream; only its remaining length tells
+    missing = getattr(stream, "length", None)
+    if missing:
+        raise TransportError(f"fetching {url}: connection closed with {missing} "
+                             "more bytes expected")
+
+
+def _url(base: str, rel_path: str) -> str:
+    return base.rstrip("/") + "/" + rel_path
+
+
 class MavenRepository:
     """Fetch artifacts and checksums from remotes, caching under a local root."""
 
@@ -143,23 +182,30 @@ class MavenRepository:
 
     # --- low-level access ---
 
-    def _fetch_remote(self, rel_path: str) -> tuple[bytes, str]:
-        """Try each remote in order; return (bytes, base url) of the first hit."""
+    def _fetch_remote(self, rel_path: str) -> tuple[BinaryIO, str]:
+        """Try each remote in order; return (open stream, base url) of the first hit."""
         if self.config.offline:
             raise OfflineError(f"offline: cannot fetch {rel_path}")
         if not self.config.remote_base_urls:
             raise NotFoundError(f"no remote repositories configured for {rel_path}")
         for base in self.config.remote_base_urls:
-            url = base.rstrip("/") + "/" + rel_path
+            url = _url(base, rel_path)
             try:
-                data = _get(url, self.config.timeout)
-            except OSError as exc:
+                stream = _open(url, self.config.timeout)
+            except _transport_errors() as exc:
                 raise TransportError(f"fetching {url}: {exc}") from exc
-            if data is not None:
-                return data, base
+            if stream is not None:
+                return stream, base
         raise NotFoundError(f"{rel_path} not found in any configured repository")
 
-    def _write_cache(self, rel_path: str, data: bytes, source: str | None) -> Path:
+    def _fetch_bytes(self, rel_path: str) -> tuple[bytes, str]:
+        """(bytes, base url) of the first remote that has rel_path; for small files."""
+        stream, base = self._fetch_remote(rel_path)
+        with stream:
+            return b"".join(_download(stream, _url(base, rel_path))), base
+
+    def _write_cache(self, rel_path: str, data: bytes | Iterable[bytes],
+                     source: str | None) -> Path:
         path = self.config.local_repo_root / rel_path
         path.parent.mkdir(parents=True, exist_ok=True)
         # the marker lands first: whoever sees the artifact also sees its source,
@@ -171,14 +217,25 @@ class MavenRepository:
         write_files(files)
         return path
 
-    def _ensure_cached(self, rel_path: str) -> Path:
+    def _ensure_cached(self, rel_path: str, digest=None) -> Path:
+        """The cached copy of rel_path, streamed in from a remote when missing.
+
+        With ``digest``, every byte of that copy goes into it exactly once:
+        read back from the cache on a hit, or on its way in on a fill.
+        """
         cached = self.config.local_repo_root / rel_path
         if cached.is_file():
+            if digest is not None:
+                with open(cached, "rb", buffering=0) as handle:
+                    for _ in _chunks(handle, digest):
+                        pass
             return cached
         if self.config.offline:
             raise OfflineError(f"offline and not cached: {rel_path}")
-        data, base = self._fetch_remote(rel_path)
-        return self._write_cache(rel_path, data, base)
+        stream, base = self._fetch_remote(rel_path)
+        with stream:
+            return self._write_cache(rel_path, _download(stream, _url(base, rel_path), digest),
+                                     base)
 
     # --- public operations ---
 
@@ -207,15 +264,16 @@ class MavenRepository:
 
     def checksum_local(self, gav: Gav, packaging: str = "jar", algorithm: str = "sha256",
                        classifier: str | None = None) -> ChecksumRecord:
-        """Digest computed over the cached artifact bytes (fetching if permitted)."""
+        """Digest of the cached artifact bytes (fetching if permitted).
+
+        A fill hashes the bytes as they are written, so the digest is that of
+        exactly the bytes renamed into the cache, and the copy is not read back.
+        """
+        digest = hashlib.new(algorithm)
         try:
-            path = self._ensure_cached(artifact_rel_path(gav, packaging, classifier))
+            self._ensure_cached(artifact_rel_path(gav, packaging, classifier), digest)
         except OfflineError as exc:
             raise NotFoundError(str(exc)) from exc
-        digest = hashlib.new(algorithm)
-        with path.open("rb") as handle:
-            for chunk in iter(lambda: handle.read(1 << 16), b""):
-                digest.update(chunk)
         return ChecksumRecord(algorithm=algorithm, digest=digest.hexdigest(), mode="local")
 
     def checksum_remote(self, gav: Gav, packaging: str = "jar", algorithm: str = "sha256",
@@ -233,7 +291,7 @@ class MavenRepository:
             raise IntegrityFormatError(f"unknown checksum algorithm {algorithm!r}")
         rel = artifact_rel_path(gav, packaging, classifier) + "." + algorithm
         try:
-            data, base = self._fetch_remote(rel)
+            data, base = self._fetch_bytes(rel)
         except NotFoundError as exc:
             raise ChecksumUnavailableError(
                 f"no {algorithm} checksum published for {gav}", gav=gav
@@ -242,7 +300,7 @@ class MavenRepository:
             record = parse_checksum_text(data.decode("utf-8", "replace"), algorithm, "remote")
         except IntegrityFormatError as exc:
             raise IntegrityFormatError(
-                f"{gav}: bad checksum at {base.rstrip('/')}/{rel}: {exc}", gav=gav
+                f"{gav}: bad checksum at {_url(base, rel)}: {exc}", gav=gav
             ) from exc
         return record, base
 
@@ -261,8 +319,12 @@ class MavenRepository:
                 raise NotFoundError(f"no cached version metadata for {group_id}:{artifact_id}")
             data = cached.read_bytes()
         else:
-            data, _ = self._fetch_remote(rel)
-            if _read_or_none(cached) != data:
+            data, _ = self._fetch_bytes(rel)
+            try:
+                unchanged = cached.read_bytes() == data
+            except _MISSING:
+                unchanged = False
+            if not unchanged:
                 self._write_cache(rel, data, None)
         try:
             root = ET.fromstring(data)

@@ -300,6 +300,29 @@ class TestWriteFiles:
         # same targets, same bytes, and no temp file left beside any of them
         assert self.snapshot(tmp_path) == before
 
+    def test_chunk_iterables_are_written_whole(self, tmp_path):
+        write_files([(tmp_path / "one", iter([b"new ", b"", b"one"])),
+                     (tmp_path / "two", b"new two")])
+        assert self.snapshot(tmp_path) == {tmp_path / "one": b"new one",
+                                           tmp_path / "two": b"new two"}
+
+    @pytest.mark.parametrize("failing", range(3))
+    def test_chunk_iterator_error_propagates_and_changes_nothing(self, tmp_path, failing):
+        files = self.files(tmp_path)
+        before = self.snapshot(tmp_path)
+        error = TransportError("fetching x: connection reset")
+
+        def chunks(data):
+            yield data[:2]
+            raise error
+
+        path, data = files[failing]
+        files[failing] = (path, chunks(data))
+        with pytest.raises(TransportError) as raised:
+            write_files(files)
+        assert raised.value is error
+        assert self.snapshot(tmp_path) == before
+
     def test_empty_list_writes_nothing(self, tmp_path):
         write_files([])
         assert list(tmp_path.iterdir()) == []
