@@ -5,6 +5,10 @@ Exit codes are the CI contract:
   1  validation failed with error findings
   2  operational failure (unresolvable dependency, missing file, bad flags)
   3  ci-check regenerated lockfiles that should be committed
+
+A command loads only the modules it runs: ``freezer`` for freeze, and
+``integrity`` for validate and for a ci-check that validates. Every command
+is a short process, so what it imports is a fixed cost on each run.
 """
 
 from __future__ import annotations
@@ -16,8 +20,6 @@ from pathlib import Path
 
 from . import __version__
 from .errors import MvnlockError, OfflineError
-from .freezer import FROZEN_POM_NAME, emit_frozen_xml, freeze
-from .integrity import ValidationReport, validate
 from .lockfile import (
     DEFAULT_LOCKFILE_NAME,
     EnvironmentMetadata,
@@ -38,6 +40,7 @@ EXIT_OPERATIONAL = 2
 EXIT_UPDATED = 3
 
 DEFAULT_REMOTE = "https://repo.maven.apache.org/maven2"
+FROZEN_POM_NAME = "pom.lockfile.xml"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -178,7 +181,7 @@ def _each_locked_module(args, work) -> list[tuple[ProjectModule, object]]:
 
 
 def cmd_validate(args) -> int:
-    environment = _environment(args)
+    from .integrity import ValidationReport, validate
     override = getattr(args, "override_checksum_mode", None)
 
     def check(module: ProjectModule, lock: Lockfile, repo) -> ValidationReport:
@@ -188,6 +191,8 @@ def cmd_validate(args) -> int:
                 f"{module.directory / args.lockfile_name} records checksum mode 'remote', "
                 "which needs remote access; to check it offline against the local "
                 "cache, pass --override-checksum-mode local")
+        # only a recorded environment block is compared, so only then is one probed
+        environment = _environment(args) if lock.environment is not None else None
         return validate(module.effective, lock, repo,
                         current_environment=environment, override_mode=override)
 
@@ -216,6 +221,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_freeze(args) -> int:
+    from .freezer import emit_frozen_xml, freeze
+
     def frozen_pom(module: ProjectModule, lock: Lockfile, repo) -> tuple[Path, bytes, int]:
         frozen = freeze(module.effective, lock)
         return (module.directory / FROZEN_POM_NAME, emit_frozen_xml(frozen).encode("utf-8"),

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
 
 from . import __version__
 from .errors import MvnlockError, ModuleMismatchError, StaleLockfileError
@@ -23,17 +22,23 @@ from .pom import (
     _text,
     property_table,
 )
+from .records import Record
 from .resolver import mediate_scope
 
-FROZEN_POM_NAME = "pom.lockfile.xml"
 
+class FrozenPom(Record):
+    """A manifest's frozen form; ``source_lockfile_digest`` takes no part in equality."""
 
-@dataclass
-class FrozenPom:
-    base: PomModel
-    direct_overrides: dict[tuple[str, str], str]
-    managed_pins: list[tuple[str, str, str, str]]  # (group, artifact, version, scope)
-    source_lockfile_digest: str = field(default="", compare=False)
+    __slots__ = ("base", "direct_overrides", "managed_pins", "source_lockfile_digest")
+    _uncompared = ("source_lockfile_digest",)
+
+    def __init__(self, base: PomModel, direct_overrides: dict[tuple[str, str], str],
+                 managed_pins: list[tuple[str, str, str, str]],
+                 source_lockfile_digest: str = ""):
+        self.base = base
+        self.direct_overrides = direct_overrides
+        self.managed_pins = managed_pins  # (group, artifact, version, scope)
+        self.source_lockfile_digest = source_lockfile_digest
 
 
 def scope_for_pin(ga: tuple[str, str], forest: list[LockedDependency]) -> str:

@@ -8,11 +8,12 @@ Environment differences are reported as warnings, never failures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import MvnlockError
 from .lockfile import EnvironmentMetadata, Lockfile, LockedDependency, probe_environment
 from .pom import EffectivePom, Gav
+from .records import Checked, Record
 from .repo import ChecksumRecord, MavenRepository
 from .resolver import resolve
 
@@ -30,15 +31,18 @@ _KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class Finding:
+class _FindingFields(NamedTuple):
     kind: str
     group_id: str
     artifact_id: str
     expected: str | None
     actual: str | None
 
-    def __post_init__(self):
+
+class Finding(Checked, _FindingFields):
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.kind not in _KINDS:
             raise MvnlockError(f"unknown finding kind {self.kind!r}")
 
@@ -50,11 +54,14 @@ class Finding:
         return (self.kind, self.group_id, self.artifact_id)
 
 
-@dataclass
-class ValidationReport:
-    module: Gav
-    findings: list[Finding] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+class ValidationReport(Record):
+    __slots__ = ("module", "findings", "notes")
+
+    def __init__(self, module: Gav, findings: list[Finding] | None = None,
+                 notes: list[str] | None = None):
+        self.module = module
+        self.findings = [] if findings is None else findings
+        self.notes = [] if notes is None else notes
 
     @property
     def passed(self) -> bool:

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import json
 import os
-import platform
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import __version__
 from .errors import (
@@ -26,6 +24,7 @@ from .errors import (
 )
 from .pom import EffectivePom, Gav
 from .project import ProjectModule, for_each, load_project
+from .records import Checked, Record
 from .repo import ALGORITHMS, ChecksumRecord, MavenRepository
 from .resolver import ResolvedNode, ResolvedTree, resolve
 from .session import session_of
@@ -34,15 +33,18 @@ LOCKFILE_VERSION = 1
 DEFAULT_LOCKFILE_NAME = "lockfile.json"
 
 
-@dataclass(frozen=True)
-class LockfileConfig:
+class _ConfigFields(NamedTuple):
     include_plugins: bool = False
     include_environment: bool = False
     checksum_mode: str = "local"  # "local" | "remote"
     checksum_algorithm: str = "sha256"
     include_test: bool = True
 
-    def __post_init__(self):
+
+class LockfileConfig(Checked, _ConfigFields):
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.checksum_mode not in ("local", "remote"):
             raise LockfileSchemaError(f"unknown checksum mode {self.checksum_mode!r}")
         if self.checksum_algorithm not in ALGORITHMS:
@@ -51,22 +53,30 @@ class LockfileConfig:
             )
 
 
-@dataclass(frozen=True)
-class EnvironmentMetadata:
+class _EnvironmentFields(NamedTuple):
     os_name: str
     maven_version: str
     java_version: str
     tool_version: str
 
-    def __post_init__(self):
-        for name in ("os_name", "maven_version", "java_version", "tool_version"):
-            if not getattr(self, name):
+
+class EnvironmentMetadata(Checked, _EnvironmentFields):
+    __slots__ = ()
+
+    def _check(self) -> None:
+        for name, value in zip(self._fields, self):
+            if not value:
                 raise LockfileSchemaError(f"environment field {name} must be non-empty")
 
 
 def probe_environment(os_name: str | None = None, java_version: str | None = None,
                       maven_version: str | None = None) -> EnvironmentMetadata:
-    """Current build environment; explicit values and env vars beat probes."""
+    """Current build environment; explicit values and env vars beat probes.
+
+    ``platform`` is imported here, by the commands that record or compare an
+    environment, instead of by every command at start-up.
+    """
+    import platform
     return EnvironmentMetadata(
         os_name=os_name or platform.system(),
         maven_version=maven_version or os.environ.get("MAVEN_VERSION") or "unknown",
@@ -75,30 +85,42 @@ def probe_environment(os_name: str | None = None, java_version: str | None = Non
     )
 
 
-@dataclass
-class LockedDependency:
-    group_id: str
-    artifact_id: str
-    version: str
-    scope: str
-    checksum: ChecksumRecord
-    repository_source: str
-    direct: bool
-    children: list["LockedDependency"] = field(default_factory=list)
+class LockedDependency(Record):
+    __slots__ = ("group_id", "artifact_id", "version", "scope", "checksum",
+                 "repository_source", "direct", "children")
+
+    def __init__(self, group_id: str, artifact_id: str, version: str, scope: str,
+                 checksum: ChecksumRecord, repository_source: str, direct: bool,
+                 children: list[LockedDependency] | None = None):
+        self.group_id = group_id
+        self.artifact_id = artifact_id
+        self.version = version
+        self.scope = scope
+        self.checksum = checksum
+        self.repository_source = repository_source
+        self.direct = direct
+        self.children = [] if children is None else children
 
     @property
     def ga(self) -> tuple[str, str]:
         return (self.group_id, self.artifact_id)
 
 
-@dataclass
-class Lockfile:
-    module: Gav
-    config: LockfileConfig
-    dependencies: list[LockedDependency]
-    environment: EnvironmentMetadata | None = None
-    plugins: list[tuple[Gav, ChecksumRecord]] | None = None
-    lockfile_version: int = LOCKFILE_VERSION
+class Lockfile(Record):
+    __slots__ = ("module", "config", "dependencies", "environment", "plugins",
+                 "lockfile_version")
+
+    def __init__(self, module: Gav, config: LockfileConfig,
+                 dependencies: list[LockedDependency],
+                 environment: EnvironmentMetadata | None = None,
+                 plugins: list[tuple[Gav, ChecksumRecord]] | None = None,
+                 lockfile_version: int = LOCKFILE_VERSION):
+        self.module = module
+        self.config = config
+        self.dependencies = dependencies
+        self.environment = environment
+        self.plugins = plugins
+        self.lockfile_version = lockfile_version
 
     def flattened(self) -> list[LockedDependency]:
         """Every entry in the forest, depth-first over the sorted structure."""
@@ -495,8 +517,7 @@ def parse_lockfile(data: bytes) -> Lockfile:
 # --- diffing ---
 
 
-@dataclass(frozen=True)
-class DiffEntry:
+class DiffEntry(NamedTuple):
     kind: str  # added | removed | version-changed | checksum-changed | scope-changed
     group_id: str
     artifact_id: str

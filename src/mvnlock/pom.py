@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .errors import (
     ParentResolutionError,
@@ -21,6 +21,7 @@ from .errors import (
     UnsupportedPomFeatureError,
     VersionSpecSyntaxError,
 )
+from .records import Checked, Record
 from .versions import compare_versions
 
 SCOPES = ("compile", "provided", "runtime", "test")
@@ -31,17 +32,20 @@ _INTERPOLATION_DEPTH = 10
 _PARENT_CHAIN_LIMIT = 10
 
 
-@dataclass(frozen=True)
-class Gav:
-    """Fully resolved artifact coordinate: the atom of the whole system."""
-
+class _GavFields(NamedTuple):
     group_id: str
     artifact_id: str
     version: str
 
-    def __post_init__(self):
-        for name in ("group_id", "artifact_id", "version"):
-            if not getattr(self, name):
+
+class Gav(Checked, _GavFields):
+    """Fully resolved artifact coordinate: the atom of the whole system."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
+        for name, value in zip(self._fields, self):
+            if not value:
                 raise PomModelError(f"coordinate field {name} must be non-empty")
         if _RANGE_CHARS & set(self.version):
             raise PomModelError(f"version {self.version!r} contains range syntax")
@@ -54,8 +58,7 @@ class Gav:
         return f"{self.group_id}:{self.artifact_id}:{self.version}"
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
     lower: str | None
     lower_inclusive: bool
     upper: str | None
@@ -73,8 +76,7 @@ class Interval:
         return True
 
 
-@dataclass(frozen=True)
-class VersionSpec:
+class VersionSpec(NamedTuple):
     """Either a soft pin (plain text) or a bracketed range."""
 
     kind: str  # "soft-pin" | "range"
@@ -133,8 +135,7 @@ def parse_version_spec(text: str) -> VersionSpec:
     return VersionSpec(kind="range", text=stripped, intervals=tuple(intervals))
 
 
-@dataclass(frozen=True)
-class DependencyDecl:
+class _DependencyFields(NamedTuple):
     group_id: str
     artifact_id: str
     version_spec: VersionSpec | None = None
@@ -145,7 +146,11 @@ class DependencyDecl:
     packaging: str = "jar"
     classifier: str | None = None
 
-    def __post_init__(self):
+
+class DependencyDecl(Checked, _DependencyFields):
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.scope not in SCOPES:
             raise PomModelError(
                 f"unknown scope {self.scope!r} on {self.group_id}:{self.artifact_id}"
@@ -156,8 +161,7 @@ class DependencyDecl:
         return (self.group_id, self.artifact_id)
 
 
-@dataclass(frozen=True)
-class PluginDecl:
+class PluginDecl(NamedTuple):
     group_id: str
     artifact_id: str
     version: str | None = None
@@ -167,21 +171,36 @@ class PluginDecl:
         return (self.group_id, self.artifact_id)
 
 
-@dataclass
-class PomModel:
-    """Parsed manifest. group/version may be None until parent inheritance fills them."""
+class PomModel(Record):
+    """Parsed manifest. group/version may be None until parent inheritance fills them.
 
-    artifact_id: str
-    group_id: str | None = None
-    version: str | None = None
-    packaging: str = "jar"
-    parent: Gav | None = None
-    properties: dict[str, str] = field(default_factory=dict)
-    dependencies: list[DependencyDecl] = field(default_factory=list)
-    dependency_management: list[DependencyDecl] = field(default_factory=list)
-    modules: list[str] = field(default_factory=list)
-    plugins: list[PluginDecl] = field(default_factory=list)
-    source_xml: str | None = field(default=None, compare=False, repr=False)
+    ``source_xml`` is the text the model was parsed from; it takes no part in
+    equality.
+    """
+
+    __slots__ = ("artifact_id", "group_id", "version", "packaging", "parent", "properties",
+                 "dependencies", "dependency_management", "modules", "plugins", "source_xml")
+    _uncompared = ("source_xml",)
+
+    def __init__(self, artifact_id: str, group_id: str | None = None,
+                 version: str | None = None, packaging: str = "jar",
+                 parent: Gav | None = None, properties: dict[str, str] | None = None,
+                 dependencies: list[DependencyDecl] | None = None,
+                 dependency_management: list[DependencyDecl] | None = None,
+                 modules: list[str] | None = None, plugins: list[PluginDecl] | None = None,
+                 source_xml: str | None = None):
+        self.artifact_id = artifact_id
+        self.group_id = group_id
+        self.version = version
+        self.packaging = packaging
+        self.parent = parent
+        self.properties = {} if properties is None else properties
+        self.dependencies = [] if dependencies is None else dependencies
+        self.dependency_management = ([] if dependency_management is None
+                                      else dependency_management)
+        self.modules = [] if modules is None else modules
+        self.plugins = [] if plugins is None else plugins
+        self.source_xml = source_xml
 
     @property
     def coordinates(self) -> Gav:
@@ -405,8 +424,7 @@ def interpolate_properties(model: PomModel) -> PomModel:
             new_text = _substitute(spec.text, table)
             if new_text != spec.text:
                 spec = parse_version_spec(new_text)
-        return replace(
-            decl,
+        return decl._replace(
             group_id=_substitute(decl.group_id, table),
             artifact_id=_substitute(decl.artifact_id, table),
             version_spec=spec,
@@ -501,8 +519,9 @@ def effective_pom(model: PomModel, parent_loader=None) -> EffectivePom:
             f"coordinates of {model.artifact_id} remain incomplete after inheritance"
         )
 
-    base = replace(model, group_id=group, version=version, properties=merged_props,
-                   dependencies=merged_deps, dependency_management=merged_dm)
+    base = PomModel(model.artifact_id, group, version, model.packaging, model.parent,
+                    merged_props, merged_deps, merged_dm, model.modules, model.plugins,
+                    model.source_xml)
     interpolated = interpolate_properties(base)
 
     # dependency management fills versions that direct dependencies omit
@@ -510,7 +529,8 @@ def effective_pom(model: PomModel, parent_loader=None) -> EffectivePom:
     filled = []
     for decl in interpolated.dependencies:
         if decl.version_spec is None and decl.ga in managed:
-            decl = replace(decl, version_spec=managed[decl.ga].version_spec)
+            decl = decl._replace(version_spec=managed[decl.ga].version_spec)
         filled.append(decl)
-
-    return replace(interpolated, dependencies=filled)
+    # interpolation built a new model, so the fill may change it in place
+    interpolated.dependencies = filled
+    return interpolated

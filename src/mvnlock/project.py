@@ -2,20 +2,22 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+import threading
 from pathlib import Path
 
 from .errors import NotFoundError, ParentResolutionError, PomModelError
 from .pom import EffectivePom, Gav, PomModel, effective_pom, parse_pom
+from .records import Record
 from .session import session_of
 
 
-@dataclass
-class ProjectModule:
-    rel_path: str  # "." for the root module
-    directory: Path
-    effective: EffectivePom
+class ProjectModule(Record):
+    __slots__ = ("rel_path", "directory", "effective")
+
+    def __init__(self, rel_path: str, directory: Path, effective: EffectivePom):
+        self.rel_path = rel_path  # "." for the root module
+        self.directory = directory
+        self.effective = effective
 
     @property
     def gav(self) -> Gav:
@@ -75,7 +77,12 @@ def load_project(root: Path, repo=None) -> list[ProjectModule]:
 def for_each(items: list, worker, workers: int) -> list:
     """Apply worker to every item, ``workers`` at a time; results in item order.
 
-    The first error in item order propagates once every started call is done.
+    At most ``workers`` threads take the items in item order, one at a time.
+    Once a call fails, no thread takes another item, so every item before the
+    failed one has been started; the first error in item order is raised once
+    every started call has returned. With one worker or one item, the calls
+    run in order on the calling thread, which stops at the first error.
+
     This is the package's one thread pool, and no worker opens another, so a
     command never runs more than ``workers`` threads besides its own: generate
     calls it once per pass (resolve the modules, then fetch and hash their
@@ -83,5 +90,28 @@ def for_each(items: list, worker, workers: int) -> list:
     """
     if workers <= 1 or len(items) <= 1:
         return [worker(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, items))
+    results: list = [None] * len(items)
+    errors: dict[int, BaseException] = {}
+    indices = iter(range(len(items)))
+    lock = threading.Lock()
+
+    def take() -> None:
+        while True:
+            with lock:
+                index = None if errors else next(indices, None)
+            if index is None:
+                return
+            try:
+                results[index] = worker(items[index])
+            except BaseException as exc:  # raised on the calling thread below
+                with lock:
+                    errors[index] = exc
+
+    threads = [threading.Thread(target=take) for _ in range(min(workers, len(items)))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results

@@ -16,14 +16,13 @@ source is stable across reruns.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import re
 import sys
-import tempfile
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable
+from typing import BinaryIO, Iterable, NamedTuple
 from urllib.parse import unquote, urlsplit
 
 from .errors import (
@@ -35,6 +34,7 @@ from .errors import (
     TransportError,
 )
 from .pom import Gav
+from .records import Checked
 from .versions import sorted_versions
 
 ALGORITHMS = {"sha1": 40, "sha256": 64, "sha512": 128}
@@ -42,15 +42,19 @@ _HEX_RE = re.compile(r"^[0-9a-f]+$")
 _SOURCE_SUFFIX = ".source"
 _MISSING = (FileNotFoundError, IsADirectoryError, NotADirectoryError)
 _CHUNK = 1 << 20  # files are opened unbuffered, so each read is one syscall of this size
+_TEMP_IDS = itertools.count()  # with the pid, names a temp file no other writer uses
 
 
-@dataclass(frozen=True)
-class ChecksumRecord:
+class _ChecksumFields(NamedTuple):
     algorithm: str
     digest: str
     mode: str  # "remote" | "local"
 
-    def __post_init__(self):
+
+class ChecksumRecord(Checked, _ChecksumFields):
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise IntegrityFormatError(f"unknown checksum algorithm {self.algorithm!r}")
         if len(self.digest) != ALGORITHMS[self.algorithm] or not _HEX_RE.match(self.digest):
@@ -61,8 +65,7 @@ class ChecksumRecord:
             raise IntegrityFormatError(f"unknown checksum mode {self.mode!r}")
 
 
-@dataclass(frozen=True)
-class RepositoryConfig:
+class RepositoryConfig(NamedTuple):
     local_repo_root: Path
     remote_base_urls: tuple[str, ...] = ()
     offline: bool = False
@@ -96,23 +99,35 @@ def write_files(files: list[tuple[Path, bytes | Iterable[bytes]]]) -> None:
     and every target is left untouched. An ``OSError`` is raised as an
     ``MvnlockError`` naming the target it was writing; any other exception
     from a chunk iterator propagates as it is.
+
+    A temp file is created with mode 0o666, so every file written gets the
+    mode the umask leaves, as any other tool's output would. Its name carries
+    this process's id and a per-process counter, so no other writer, thread
+    or process, stages under the same name.
     """
     staged: list[tuple[str, Path]] = []
+    renamed = 0
     try:
         for path, data in files:
-            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+            while True:
+                tmp = f"{path}.{os.getpid()}.{next(_TEMP_IDS)}.tmp"
+                try:
+                    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                    break
+                except FileExistsError:  # left by a killed run that had this pid
+                    continue
             staged.append((tmp, path))
             with os.fdopen(fd, "wb") as handle:
                 for chunk in (data,) if isinstance(data, bytes) else data:
                     handle.write(chunk)
         for tmp, path in staged:
             os.replace(tmp, path)
+            renamed += 1
     except OSError as exc:
         raise MvnlockError(f"cannot write {path}: {exc.strerror or exc}") from exc
     finally:
-        for tmp, _ in staged:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+        for tmp, _ in staged[renamed:]:
+            os.unlink(tmp)
 
 
 def _transport_errors() -> tuple[type[Exception], ...]:

@@ -10,11 +10,11 @@ recorded tree matches what a build would actually put on its classpaths.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import EmptyRangeError, MvnlockError, ResolutionError
 from .pom import DependencyDecl, EffectivePom, Gav, VersionSpec
+from .records import Record
 from .session import session_of
 from .versions import max_version
 
@@ -76,27 +76,36 @@ def apply_exclusions(
     return [d for d in decls if not hidden(d)]
 
 
-@dataclass
-class ResolvedNode:
-    gav: Gav
-    effective_scope: str
-    depth: int
-    parent_path: tuple[Gav, ...]
-    selected: bool
-    children: list["ResolvedNode"] = field(default_factory=list)
-    packaging: str = "jar"
-    classifier: str | None = None
-    exclusions: frozenset[tuple[str, str]] = frozenset()
+class ResolvedNode(Record):
+    __slots__ = ("gav", "effective_scope", "depth", "parent_path", "selected", "children",
+                 "packaging", "classifier", "exclusions")
+
+    def __init__(self, gav: Gav, effective_scope: str, depth: int,
+                 parent_path: tuple[Gav, ...], selected: bool,
+                 children: list[ResolvedNode] | None = None, packaging: str = "jar",
+                 classifier: str | None = None,
+                 exclusions: frozenset[tuple[str, str]] = frozenset()):
+        self.gav = gav
+        self.effective_scope = effective_scope
+        self.depth = depth
+        self.parent_path = parent_path
+        self.selected = selected
+        self.children = [] if children is None else children
+        self.packaging = packaging
+        self.classifier = classifier
+        self.exclusions = exclusions
 
     @property
     def ga(self) -> tuple[str, str]:
         return self.gav.ga
 
 
-@dataclass
-class ResolvedTree:
-    nodes: list[ResolvedNode]
-    warnings: list[str] = field(default_factory=list)
+class ResolvedTree(Record):
+    __slots__ = ("nodes", "warnings")
+
+    def __init__(self, nodes: list[ResolvedNode], warnings: list[str] | None = None):
+        self.nodes = nodes
+        self.warnings = [] if warnings is None else warnings
 
     def walk(self) -> Iterator[ResolvedNode]:
         """All nodes (winners and mediation losers) in breadth-first order."""

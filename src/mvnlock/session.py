@@ -8,20 +8,32 @@ models per ``Gav``, and provenance and checksums per artifact and algorithm.
 All modules therefore read one snapshot of the repository: a version
 published while the run is in progress is seen by none of them or by all.
 
-Each key is computed single-flight. Concurrent callers asking for the same
-key wait on the first caller's future instead of fetching again, and a
-failure reaches every one of them. The session starts no threads.
+Each key is computed single-flight. The first caller asking for a key
+computes it into a cell; concurrent callers asking for the same key wait on
+that cell's event instead of fetching again, and receive its result, or its
+exception, which thereby reaches every one of them. The session starts no
+threads.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Future
 from typing import Callable, TypeVar
 
 from .pom import EffectivePom, Gav, PomModel, effective_pom, parse_pom
 
 T = TypeVar("T")
+
+
+class _Cell:
+    """One key's outcome: its value or its exception, readable once ``done`` is set."""
+
+    __slots__ = ("done", "value", "error")
+
+    def __init__(self):
+        self.done = threading.Event()
+        self.value = None
+        self.error: BaseException | None = None
 
 
 class Session:
@@ -30,20 +42,25 @@ class Session:
     def __init__(self, repo):
         self.repo = repo
         self._lock = threading.Lock()
-        self._results: dict[tuple, Future] = {}
+        self._results: dict[tuple, _Cell] = {}
 
     def _once(self, key: tuple, compute: Callable[[], T]) -> T:
         with self._lock:
-            future = self._results.get(key)
-            owner = future is None
+            cell = self._results.get(key)
+            owner = cell is None
             if owner:
-                future = self._results[key] = Future()
+                cell = self._results[key] = _Cell()
         if owner:
             try:
-                future.set_result(compute())
-            except BaseException as exc:  # handed to every caller by result() below
-                future.set_exception(exc)
-        return future.result()
+                cell.value = compute()
+            except BaseException as exc:  # handed to every caller below
+                cell.error = exc
+            cell.done.set()
+        else:
+            cell.done.wait()
+        if cell.error is not None:
+            raise cell.error
+        return cell.value
 
     # --- resolution inputs ---
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import os
 import random
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -364,17 +363,18 @@ def fail_staging(monkeypatch, k: int, names: tuple[str, ...] = ()) -> list[str]:
     OSError the way a full disk would, after the temp file exists. Returns
     the counted temp file paths as they are staged.
     """
-    real = tempfile.mkstemp
+    real = os.open
     staged: list[str] = []
 
-    def mkstemp(*args, prefix="", **kwargs):
-        fd, tmp = real(*args, prefix=prefix, **kwargs)
-        if not names or any(prefix == name + "." for name in names):
-            staged.append(tmp)
+    def open_(path, flags, mode=0o777, *args, **kwargs):
+        fd = real(path, flags, mode, *args, **kwargs)
+        if flags & os.O_CREAT and (
+                not names or any(Path(path).name.startswith(name + ".") for name in names)):
+            staged.append(path)
             if len(staged) == k + 1:
                 os.close(fd)
-                fd = os.open(tmp, os.O_RDONLY)
-        return fd, tmp
+                fd = real(path, os.O_RDONLY)
+        return fd
 
-    monkeypatch.setattr(tempfile, "mkstemp", mkstemp)
+    monkeypatch.setattr(os, "open", open_)
     return staged

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import pytest
 
@@ -338,6 +340,22 @@ class TestAllOrNothing:
         assert err.startswith(
             f"mvnlock: error: cannot write {fixture.project_root / 'core' / 'lockfile.json'}: ")
         assert not list(fixture.project_root.rglob("lockfile.json*"))
+
+
+def test_every_written_file_gets_the_mode_the_umask_leaves(tmp_path):
+    fixture = build_aggregator(tmp_path)
+    umask = os.umask(0o027)
+    try:
+        assert run(fixture, "generate") == 0
+        assert run(fixture, "generate", "--checksum-algorithm", "sha1") == 0  # rewrites
+        assert run(fixture, "freeze") == 0
+    finally:
+        os.umask(umask)
+    written = [p for root in (fixture.cache_root, fixture.project_root)
+               for p in root.rglob("*") if p.is_file() and p.name != "pom.xml"]
+    # cache fills of every kind, lockfiles and frozen POMs
+    assert {p.suffix for p in written} == {".pom", ".jar", ".source", ".xml", ".json"}
+    assert {p: stat.S_IMODE(p.stat().st_mode) for p in written} == dict.fromkeys(written, 0o640)
 
 
 class TestOfflineAndWorkers:

@@ -195,6 +195,9 @@ class TestEmit:
         out = emit_frozen_xml(frozen)
         assert "generated by mvnlock" in out
         assert parse_pom(out) == model
+        # the digest names the lockfile, not the frozen form: equality skips it
+        assert frozen == FrozenPom(model, {}, [], "1" * 64)
+        assert frozen != FrozenPom(model, {}, [("g", "a", "1", "compile")], "0" * 64)
 
     def test_model_without_source_xml_is_an_error(self):
         model = PomModel(artifact_id="handmade", group_id="g", version="1.0")

@@ -1,9 +1,10 @@
 """``repo.write_files`` is the only code in the package that writes a file.
 
 A stdlib ``ast`` check: any other call of ``write_bytes``, ``write_text``,
-``os.replace``, ``os.rename``, ``tempfile.mkstemp``, or of ``open``,
-``Path.open`` or ``os.fdopen`` with a write mode fails it, so a command
-cannot go back to writing its outputs one file at a time.
+``os.replace``, ``os.rename``, ``tempfile.mkstemp``, ``os.write``, of
+``open``, ``Path.open`` or ``os.fdopen`` with a write mode, or of ``os.open``
+with a write or create flag fails it, so a command cannot go back to writing
+its outputs one file at a time.
 """
 
 import ast
@@ -14,7 +15,28 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mvnlock"
 WRITER = ("repo.py", "write_files")
 WRITE_METHODS = {"write_bytes", "write_text"}
-MODULE_WRITERS = {("os", "replace"), ("os", "rename"), ("tempfile", "mkstemp")}
+MODULE_WRITERS = {("os", "replace"), ("os", "rename"), ("tempfile", "mkstemp"),
+                  ("os", "write"), ("os", "pwrite"), ("os", "writev")}
+WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND", "O_TRUNC", "O_TMPFILE"}
+
+
+def _flags(call: ast.Call) -> str:
+    """The ``os.open`` call's flag names joined by '|'; '?' if not all are ``O_`` names."""
+    node = next((k.value for k in call.keywords if k.arg == "flags"),
+                call.args[1] if len(call.args) > 1 else None)
+    names = []
+    pending = [node]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+            pending += [node.right, node.left]
+        elif isinstance(node, ast.Attribute) and node.attr.startswith("O_"):
+            names.append(node.attr)
+        elif isinstance(node, ast.Name) and node.id.startswith("O_"):
+            names.append(node.id)
+        else:
+            return "?"
+    return "|".join(names)
 
 
 def _mode(call: ast.Call, position: int) -> str | None:
@@ -46,6 +68,11 @@ def _writes(call: ast.Call) -> str | None:
             return name
         if (owner, name) in MODULE_WRITERS:
             return f"{owner}.{name}"
+        if (owner, name) == ("os", "open"):
+            flags = _flags(call)
+            if flags == "?" or set(flags.split("|")) & WRITE_FLAGS:
+                return f"os.open({flags})"
+            return None
         if (owner, name) == ("os", "fdopen"):
             position = 1
         elif name == "open" and owner != "os":
@@ -87,7 +114,7 @@ def test_write_files_is_the_one_exception():
     assert f"def {WRITER[1]}(" in source
     renamed = source.replace(f"def {WRITER[1]}(", "def not_the_writer(")
     assert {line.split(" ", 1)[1] for line in file_writes(renamed, WRITER[0])} == {
-        "tempfile.mkstemp", "fdopen(mode='wb')", "os.replace"}
+        "os.open(O_WRONLY|O_CREAT|O_EXCL)", "fdopen(mode='wb')", "os.replace"}
 
 
 def test_checker_reports_every_kind_of_write():
@@ -107,6 +134,12 @@ def test_checker_reports_every_kind_of_write():
         "    p.open('rb')\n"
         "    p.read_text()\n"
         "    open(p)\n"
+        "    os.open(p, os.O_WRONLY | os.O_CREAT, 0o666)\n"
+        "    os.open(p, flags=os.O_RDWR)\n"
+        "    os.open(p, mode)\n"
+        "    os.write(3, data)\n"
+        "    os.open(p, os.O_RDONLY)\n"
+        "    os.open(p, os.O_RDONLY | os.O_CLOEXEC)\n"
     )
     assert file_writes(source, "m.py") == [
         "m.py:4 write_bytes",
@@ -117,4 +150,8 @@ def test_checker_reports_every_kind_of_write():
         "m.py:9 open(mode='ab')",
         "m.py:10 open(mode='?')",
         "m.py:11 fdopen(mode='wb')",
+        "m.py:16 os.open(O_WRONLY|O_CREAT)",
+        "m.py:17 os.open(O_RDWR)",
+        "m.py:18 os.open(?)",
+        "m.py:19 os.write",
     ]

@@ -116,6 +116,34 @@ class TestGavInvariants:
         with pytest.raises(PomModelError):
             Gav("g", "a", "[1.0,2.0)")
 
+    def test_copies_with_changed_fields_are_checked(self):
+        gav = Gav("g", "a", "1")
+        assert gav._replace(version="2") == Gav("g", "a", "2")
+        assert type(gav._replace(version="2")) is Gav
+        with pytest.raises(PomModelError):
+            gav._replace(version="[1.0,2.0)")
+        with pytest.raises(PomModelError):
+            Gav._make(("g", "", "1"))
+        decl = parse_pom(pom_xml("g", "app", "1", deps=(dep_xml("g", "a", "1"),))
+                         ).dependencies[0]
+        with pytest.raises(PomModelError, match="unknown scope"):
+            decl._replace(scope="system")
+
+    def test_hashable_value(self):
+        assert {Gav("g", "a", "1"): 1}[Gav("g", "a", "1")] == 1
+        assert str(Gav("g", "a", "1")) == "g:a:1"
+
+
+def test_model_equality_ignores_source_text():
+    text = pom_xml("g", "app", "1", deps=(dep_xml("g", "a", "1"),))
+    reformatted = text.replace("\n", "\n  ")
+    assert reformatted != text
+    assert parse_pom(text) == parse_pom(reformatted)
+    assert parse_pom(text) != parse_pom(pom_xml("g", "app", "2"))
+    assert "source_xml" not in repr(parse_pom(text))
+    with pytest.raises(TypeError):
+        hash(parse_pom(text))
+
 
 class TestVersionSpec:
     def test_soft_pin(self):

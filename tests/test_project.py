@@ -1,9 +1,13 @@
+import sys
+import threading
+import time
+
 import pytest
 
 from conftest import build_aggregator, pom_xml
 from mvnlock.errors import NotFoundError, ParentResolutionError
 from mvnlock.pom import Gav
-from mvnlock.project import load_project
+from mvnlock.project import for_each, load_project
 
 
 def test_module_order_root_first(tmp_path):
@@ -62,3 +66,98 @@ def test_remote_parent_resolved_through_repo(tmp_path):
     (module,) = load_project(root, repo)
     assert module.gav == Gav("ext", "child", "1")
     assert module.effective.properties["shared"] == "yes"
+
+
+def bounded(call, timeout: float = 30):
+    """``call()`` on a helper thread joined with a timeout: its result, or its error."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["result"] = call()
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive()
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["result"]
+
+
+class TestForEach:
+    def test_results_in_item_order_each_item_once(self):
+        items = list(range(2000))
+        called = []
+
+        def worker(item):
+            called.append(item)
+            return item * 2
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = bounded(lambda: for_each(items, worker, 8))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [item * 2 for item in items]
+        assert sorted(called) == items
+
+    def test_first_error_in_item_order_after_started_calls_return(self):
+        started, finished = set(), set()
+        lock = threading.Lock()
+
+        def worker(item):
+            with lock:
+                started.add(item)
+            try:
+                # item 3 fails first in time, item 2 first in item order
+                time.sleep({0: 0.2, 1: 0.2, 2: 0.1}.get(item, 0))
+                if item in (2, 3):
+                    raise ValueError(f"item {item}")
+                return item
+            finally:
+                with lock:
+                    finished.add(item)
+
+        with pytest.raises(ValueError, match="^item 2$"):
+            bounded(lambda: for_each(list(range(12)), worker, 4))
+        assert finished == started
+        assert {2} <= started and max(started) <= 3
+
+    def test_serial_run_stops_at_first_error(self):
+        called = []
+
+        def worker(item):
+            called.append(item)
+            if item == 1:
+                raise ValueError("item 1")
+
+        with pytest.raises(ValueError, match="^item 1$"):
+            for_each([0, 1, 2], worker, 1)
+        assert called == [0, 1]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_never_more_than_workers_threads(self, workers):
+        baseline = threading.active_count()
+        running, peak, threads = 0, 0, set()
+        lock = threading.Lock()
+
+        def worker(item):
+            nonlocal running, peak
+            with lock:
+                running += 1
+                peak = max(peak, running)
+                threads.add(threading.get_ident())
+                # the caller's thread and the one running bounded(), plus the pool
+                assert threading.active_count() <= baseline + 1 + (workers if workers > 1 else 0)
+            time.sleep(0.005)
+            with lock:
+                running -= 1
+            return item
+
+        assert bounded(lambda: for_each(list(range(30)), worker, workers)) == list(range(30))
+        assert peak <= workers
+        assert len(threads) == workers
