@@ -30,8 +30,9 @@ from .lockfile import (
     probe_environment,
     serialize,
 )
-from .project import ProjectModule, for_each, load_project
+from .project import Pool, ProjectModule, load_project
 from .repo import MavenRepository, RepositoryConfig, write_files
+from .resolver import resolve
 from .session import Session
 
 EXIT_OK = 0
@@ -41,6 +42,17 @@ EXIT_UPDATED = 3
 
 DEFAULT_REMOTE = "https://repo.maven.apache.org/maven2"
 FROZEN_POM_NAME = "pom.lockfile.xml"
+
+
+def _worker_count(text: str) -> int:
+    """``--workers N``: a whole number of threads, at least 1."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,10 +85,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--skip-module", action="append", default=[], metavar="PATH",
                         help="module path to skip, repeatable ('.' is the root)")
     common.add_argument("--format", choices=("text", "machine"), default="text")
-    common.add_argument("--workers", type=int, default=4, metavar="N",
-                        help="threads that resolve modules and fetch and hash "
-                             "artifacts; never multiplied, and output order does not "
-                             "depend on it")
+    common.add_argument("--workers", type=_worker_count, default=4, metavar="N",
+                        help="threads that fill the cache and fetch and hash artifacts "
+                             "while resolution and comparison run on the main thread; "
+                             "never multiplied, and no output depends on it")
     common.add_argument("--env-os", metavar="NAME", help="override probed OS name")
     common.add_argument("--env-java", metavar="VERSION", help="override probed Java version")
     common.add_argument("--env-maven", metavar="VERSION", help="override probed Maven version")
@@ -156,52 +168,75 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _each_locked_module(args, work) -> list[tuple[ProjectModule, object]]:
-    """``work(module, lockfile, repo)`` for every module, ``--workers`` at a time.
-
-    Returns (module, result) in module order; the result is None for a
-    ``--skip-module`` path. A missing lockfile, or any failure of the work,
-    is an error naming the module.
-    """
-    repo = _repository(args)
-    skip = set(args.skip_module)
-
-    def run(module: ProjectModule):
-        if module.rel_path in skip:
-            return module, None
-        lock_path = module.directory / args.lockfile_name
-        if not lock_path.is_file():
-            raise MvnlockError(f"module {module.rel_path}: missing {args.lockfile_name}")
-        try:
-            return module, work(module, parse_lockfile(lock_path.read_bytes()), repo)
-        except MvnlockError as exc:
-            raise MvnlockError(f"module {module.rel_path}: {exc}") from exc
-
-    return for_each(load_project(Path(args.project), repo), run, args.workers)
+def _lockfile(args, module: ProjectModule) -> Lockfile | None:
+    """The module's parsed lockfile, or None for a ``--skip-module`` path."""
+    if module.rel_path in args.skip_module:
+        return None
+    lock_path = module.directory / args.lockfile_name
+    if not lock_path.is_file():
+        raise MvnlockError(f"missing {args.lockfile_name}")
+    return parse_lockfile(lock_path.read_bytes())
 
 
 def cmd_validate(args) -> int:
-    from .integrity import ValidationReport, validate
-    override = getattr(args, "override_checksum_mode", None)
+    """Validate every module in the three passes of ``generate_all``.
 
-    def check(module: ProjectModule, lock: Lockfile, repo) -> ValidationReport:
+    Resolve each module on this thread, read each distinct digest the
+    comparisons need once on the pool, then compare each module on this
+    thread. The first failing module in module order is the one reported.
+    """
+    from .integrity import ValidationReport, checksum_checks, current_digest, validate
+    override = getattr(args, "override_checksum_mode", None)
+    repo = _repository(args)
+    modules = load_project(Path(args.project), repo)
+
+    def prepare(module: ProjectModule, pool: Pool):
+        lock = _lockfile(args, module)
+        if lock is None:
+            return None
         if (args.offline and (override or lock.config.checksum_mode) == "remote"
                 and (lock.dependencies or lock.plugins)):
             raise OfflineError(
                 f"{module.directory / args.lockfile_name} records checksum mode 'remote', "
                 "which needs remote access; to check it offline against the local "
                 "cache, pass --override-checksum-mode local")
-        # only a recorded environment block is compared, so only then is one probed
-        environment = _environment(args) if lock.environment is not None else None
-        return validate(module.effective, lock, repo,
-                        current_environment=environment, override_mode=override)
+        return lock, resolve(module.effective, repo, include_test=lock.config.include_test,
+                             pool=pool)
+
+    def read(check) -> None:
+        try:
+            current_digest(repo, *check)
+        except Exception:  # the session keeps it; pass 3 raises it for its module
+            pass
+
+    prepared: list = []
+    with Pool(args.workers) as pool:
+        for module in modules:
+            try:
+                prepared.append(prepare(module, pool))
+            except Exception as exc:  # raised by pass 3, in module order
+                prepared.append(exc)
+        checks = dict.fromkeys(check for outcome in prepared if isinstance(outcome, tuple)
+                               for check in checksum_checks(*outcome, override))
+        pool.map(read, list(checks))
 
     lines, docs = [], []
     failed = False
-    for module, report in _each_locked_module(args, check):
-        if report is None:
-            report = ValidationReport(module=module.gav,
-                                      notes=["validation skipped by configuration"])
+    for module, outcome in zip(modules, prepared):
+        try:
+            if isinstance(outcome, Exception):
+                raise outcome
+            if outcome is None:
+                report = ValidationReport(module=module.gav,
+                                          notes=["validation skipped by configuration"])
+            else:
+                lock, tree = outcome
+                # only a recorded environment block is compared, so only then is one probed
+                environment = _environment(args) if lock.environment is not None else None
+                report = validate(module.effective, lock, repo, current_environment=environment,
+                                  override_mode=override, tree=tree)
+        except MvnlockError as exc:
+            raise MvnlockError(f"module {module.rel_path}: {exc}") from exc
         status = "ok" if report.passed else "FAILED"
         lines.append(f"module {module.rel_path} ({module.gav}): {status}")
         for note in report.notes:
@@ -223,21 +258,23 @@ def cmd_validate(args) -> int:
 def cmd_freeze(args) -> int:
     from .freezer import emit_frozen_xml, freeze
 
-    def frozen_pom(module: ProjectModule, lock: Lockfile, repo) -> tuple[Path, bytes, int]:
-        frozen = freeze(module.effective, lock)
-        return (module.directory / FROZEN_POM_NAME, emit_frozen_xml(frozen).encode("utf-8"),
-                len(frozen.managed_pins))
-
-    results = _each_locked_module(args, frozen_pom)
-    write_files([result[:2] for _, result in results if result is not None])
-    lines, docs = [], []
-    for module, result in results:
-        if result is None:
-            lines.append(f"skipped {module.rel_path}")
-            continue
-        target, _, pinned = result
+    lines, docs, files = [], [], []
+    for module in load_project(Path(args.project), _repository(args)):
+        try:
+            lock = _lockfile(args, module)
+            if lock is None:
+                lines.append(f"skipped {module.rel_path}")
+                continue
+            frozen = freeze(module.effective, lock)
+            payload = emit_frozen_xml(frozen).encode("utf-8")
+        except MvnlockError as exc:
+            raise MvnlockError(f"module {module.rel_path}: {exc}") from exc
+        target = module.directory / FROZEN_POM_NAME
+        files.append((target, payload))
+        pinned = len(frozen.managed_pins)
         lines.append(f"wrote {module.rel_path}/{FROZEN_POM_NAME} ({pinned} pinned)")
         docs.append({"module": module.rel_path, "path": str(target), "pinned": pinned})
+    write_files(files)
     _emit(args, lines, {"command": "freeze", "modules": docs})
     return EXIT_OK
 

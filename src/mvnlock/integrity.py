@@ -15,7 +15,7 @@ from .lockfile import EnvironmentMetadata, Lockfile, LockedDependency, probe_env
 from .pom import EffectivePom, Gav
 from .records import Checked, Record
 from .repo import ChecksumRecord, MavenRepository
-from .resolver import resolve
+from .resolver import ResolvedTree, resolve
 
 ERROR = "error"
 WARNING = "warning"
@@ -88,13 +88,16 @@ class ValidationReport(Record):
         }
 
 
+def current_digest(repo: MavenRepository, mode: str, gav: Gav, algorithm: str) -> str:
+    """The artifact's digest now: its published sidecar in remote mode, else its hash."""
+    checksum = repo.checksum_remote if mode == "remote" else repo.checksum_local
+    return checksum(gav, "jar", algorithm).digest
+
+
 def _recheck(gav: Gav, record: ChecksumRecord, mode: str, repo: MavenRepository,
              findings: list[Finding]) -> str:
     """The artifact's digest now, fetched or hashed per ``mode``; a mismatch is a finding."""
-    if mode == "remote":
-        actual = repo.checksum_remote(gav, "jar", record.algorithm).digest
-    else:
-        actual = repo.checksum_local(gav, "jar", record.algorithm).digest
+    actual = current_digest(repo, mode, gav, record.algorithm)
     if actual != record.digest:
         findings.append(Finding("checksum-mismatch", gav.group_id, gav.artifact_id,
                                 record.digest, actual))
@@ -115,11 +118,33 @@ def verify_checksums(entries: list[LockedDependency], repo: MavenRepository,
         mode = override_mode or entry.checksum.mode
         actual = _recheck(gav, entry.checksum, mode, repo, findings)
         if mode == "remote":
-            local = repo.checksum_local(gav, "jar", entry.checksum.algorithm)
-            if local.digest != actual:
+            local = current_digest(repo, "local", gav, entry.checksum.algorithm)
+            if local != actual:
                 findings.append(Finding("source-mismatch", entry.group_id,
-                                        entry.artifact_id, actual, local.digest))
+                                        entry.artifact_id, actual, local))
     return findings
+
+
+def checksum_checks(lockfile: Lockfile, tree: ResolvedTree,
+                    override_mode: str | None = None) -> list[tuple[str, Gav, str]]:
+    """(mode, gav, algorithm) of every digest ``validate`` reads for this lockfile and tree.
+
+    Reading each one first with ``current_digest``, through the session that
+    ``validate`` is given next, makes every read of its own a session hit.
+    """
+    selected = {n.ga: n.gav.version for n in tree.flattened}
+    checks = []
+    for entry in lockfile.flattened():
+        if selected.get(entry.ga) != entry.version:
+            continue  # reported by validate without reading a digest
+        gav = Gav(entry.group_id, entry.artifact_id, entry.version)
+        mode = override_mode or entry.checksum.mode
+        checks.append((mode, gav, entry.checksum.algorithm))
+        if mode == "remote":
+            checks.append(("local", gav, entry.checksum.algorithm))
+    mode = override_mode or lockfile.config.checksum_mode
+    checks += [(mode, gav, record.algorithm) for gav, record in lockfile.plugins or ()]
+    return checks
 
 
 def check_environment(expected: EnvironmentMetadata | None,
@@ -142,14 +167,18 @@ def check_environment(expected: EnvironmentMetadata | None,
 
 def validate(module_pom: EffectivePom, lockfile: Lockfile, repo: MavenRepository,
              current_environment: EnvironmentMetadata | None = None,
-             override_mode: str | None = None) -> ValidationReport:
+             override_mode: str | None = None,
+             tree: ResolvedTree | None = None) -> ValidationReport:
     """Re-resolve with the lockfile's recorded settings and compare everything.
 
     The lockfile's recorded config wins over ambient settings; only the
-    explicit ``override_mode`` changes how checksums are verified.
+    explicit ``override_mode`` changes how checksums are verified. ``tree``
+    is the module already resolved that way; without it the module is
+    resolved first.
     """
     report = ValidationReport(module=lockfile.module)
-    tree = resolve(module_pom, repo, include_test=lockfile.config.include_test)
+    if tree is None:
+        tree = resolve(module_pom, repo, include_test=lockfile.config.include_test)
     occurrences = tree.occurrence_scopes()
     current = {n.ga: n for n in tree.flattened}
     expected = {e.ga: e for e in lockfile.flattened()}

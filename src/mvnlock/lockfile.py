@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedLockfileVersionError,
 )
 from .pom import EffectivePom, Gav
-from .project import ProjectModule, for_each, load_project
+from .project import Pool, for_each, load_project
 from .records import Checked, Record
 from .repo import ALGORITHMS, ChecksumRecord, MavenRepository
 from .resolver import ResolvedNode, ResolvedTree, resolve
@@ -242,12 +242,13 @@ def generate_all(project_root: Path, config: LockfileConfig, repo: MavenReposito
     """One lockfile per module, root included (aggregators lock an empty forest).
 
     All modules read the repository through one session, so they share a
-    single snapshot of it. The work runs in three passes, one after another,
-    each with at most ``workers`` threads:
+    single snapshot of it, and one ``Pool`` of ``workers`` threads waits on
+    the repository for them. The work runs in three passes, one after another:
 
-    1. resolve every module, ``workers`` modules at a time;
-    2. fetch and hash each distinct artifact of all modules once, ``workers``
-       artifacts at a time, into the session;
+    1. resolve every module on the calling thread, in module order, while
+       the pool fills the cache with the manifests it lacks;
+    2. fetch and hash each distinct artifact of all modules once, on the
+       pool, into the session;
     3. assemble each module's lockfile in module order on the calling thread,
        where every checksum is a session hit.
 
@@ -259,23 +260,24 @@ def generate_all(project_root: Path, config: LockfileConfig, repo: MavenReposito
     session = session_of(repo)
     modules = load_project(project_root, session)
 
-    def resolve_module(module: ProjectModule) -> tuple[ResolvedTree | Exception, list[Job]]:
-        try:
-            tree = resolve(module.effective, session, include_test=config.include_test)
-            return tree, _checksum_jobs(tree, _plugin_gavs(module.effective, config))
-        except Exception as exc:  # raised by pass 3, in module order
-            return exc, []
-
-    resolved = for_each(modules, resolve_module, workers)
-
     def fill(job: Job) -> None:
         try:
             _fetch_checksum(session, config, job)
         except Exception:  # the session keeps it; pass 3 raises it for its module
             pass
 
-    jobs = list(dict.fromkeys(job for _, module_jobs in resolved for job in module_jobs))
-    for_each(jobs, fill, workers)
+    resolved: list[tuple[ResolvedTree | Exception, list[Job]]] = []
+    with Pool(workers) as pool:
+        for module in modules:
+            try:
+                tree = resolve(module.effective, session, include_test=config.include_test,
+                               pool=pool)
+                resolved.append((tree, _checksum_jobs(tree, _plugin_gavs(module.effective,
+                                                                         config))))
+            except Exception as exc:  # raised by pass 3, in module order
+                resolved.append((exc, []))
+        jobs = list(dict.fromkeys(job for _, module_jobs in resolved for job in module_jobs))
+        pool.map(fill, jobs)
 
     results = []
     for module, (tree, _) in zip(modules, resolved):

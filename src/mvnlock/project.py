@@ -1,9 +1,11 @@
-"""Multi-module project discovery: module enumeration and parent loading."""
+"""Multi-module project discovery, and the one pool of worker threads a command uses."""
 
 from __future__ import annotations
 
+import queue
 import threading
 from pathlib import Path
+from typing import Callable
 
 from .errors import NotFoundError, ParentResolutionError, PomModelError
 from .pom import EffectivePom, Gav, PomModel, effective_pom, parse_pom
@@ -74,44 +76,99 @@ def load_project(root: Path, repo=None) -> list[ProjectModule]:
     ]
 
 
-def for_each(items: list, worker, workers: int) -> list:
-    """Apply worker to every item, ``workers`` at a time; results in item order.
+class Pool:
+    """The command's one set of worker threads: at most ``workers``, started as work arrives.
 
-    At most ``workers`` threads take the items in item order, one at a time.
-    Once a call fails, no thread takes another item, so every item before the
-    failed one has been started; the first error in item order is raised once
-    every started call has returned. With one worker or one item, the calls
-    run in order on the calling thread, which stops at the first error.
-
-    This is the package's one thread pool, and no worker opens another, so a
-    command never runs more than ``workers`` threads besides its own: generate
-    calls it once per pass (resolve the modules, then fetch and hash their
-    distinct artifacts) and assembles the lockfiles itself, one by one.
+    Threads here only wait: they fill the cache, and fetch and hash
+    artifacts. Resolution and comparison stay on the calling thread, where a
+    cached manifest parses faster than it could be handed to a thread and
+    back. ``submit`` queues a call and returns at once; ``map`` runs a batch
+    and returns its results. A thread starts only when a call is queued, so a
+    command that queues nothing runs no thread besides its own. Leaving the
+    ``with`` block lets every queued call finish and joins every thread.
     """
-    if workers <= 1 or len(items) <= 1:
-        return [worker(item) for item in items]
-    results: list = [None] * len(items)
-    errors: dict[int, BaseException] = {}
-    indices = iter(range(len(items)))
-    lock = threading.Lock()
 
-    def take() -> None:
-        while True:
-            with lock:
-                index = None if errors else next(indices, None)
-            if index is None:
-                return
+    def __init__(self, workers: int):
+        if workers < 1:
+            raise ValueError(f"a pool needs at least one worker, not {workers}")
+        self.workers = workers
+        self._calls: queue.SimpleQueue = queue.SimpleQueue()
+        self._threads: list[threading.Thread] = []
+        self._lock = threading.Lock()
+
+    def __enter__(self) -> Pool:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        for _ in self._threads:
+            self._calls.put(None)
+        for thread in self._threads:
+            thread.join()
+
+    def submit(self, call: Callable[[], object]) -> None:
+        """Run ``call()`` on a pool thread; what it returns or raises is dropped.
+
+        A caller that needs the outcome reads it from where ``call`` keeps it,
+        such as a ``Session`` cell.
+        """
+        self._calls.put(call)
+        with self._lock:
+            if len(self._threads) < self.workers:
+                thread = threading.Thread(target=self._serve)
+                self._threads.append(thread)
+                thread.start()
+
+    def _serve(self) -> None:
+        while (call := self._calls.get()) is not None:
             try:
-                results[index] = worker(items[index])
-            except BaseException as exc:  # raised on the calling thread below
-                with lock:
-                    errors[index] = exc
+                call()
+            except Exception:  # the call's owner keeps its outcome, see submit
+                pass
 
-    threads = [threading.Thread(target=take) for _ in range(min(workers, len(items)))]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
+    def map(self, worker: Callable, items: list) -> list:
+        """Apply worker to every item on the pool's threads; results in item order.
+
+        At most ``workers`` threads take the items in item order, one at a
+        time. Once a call fails, no thread takes another item, so every item
+        before the failed one has been started; the first error in item order
+        is raised once every started call has returned. With one worker or
+        one item, the calls run in order on the calling thread, which stops at
+        the first error.
+        """
+        if self.workers == 1 or len(items) <= 1:
+            return [worker(item) for item in items]
+        results: list = [None] * len(items)
+        errors: dict[int, BaseException] = {}
+        indices = iter(range(len(items)))
+        lock = threading.Lock()
+        takers = min(self.workers, len(items))
+        finished = threading.Semaphore(0)
+
+        def take() -> None:
+            try:
+                while True:
+                    with lock:
+                        index = None if errors else next(indices, None)
+                    if index is None:
+                        return
+                    try:
+                        results[index] = worker(items[index])
+                    except BaseException as exc:  # raised on the calling thread below
+                        with lock:
+                            errors[index] = exc
+            finally:
+                finished.release()
+
+        for _ in range(takers):
+            self.submit(take)
+        for _ in range(takers):
+            finished.acquire()
+        if errors:
+            raise errors[min(errors)]
+        return results
+
+
+def for_each(items: list, worker: Callable, workers: int) -> list:
+    """``Pool.map`` on a pool of its own, whose threads have ended when it returns."""
+    with Pool(workers) as pool:
+        return pool.map(worker, items)

@@ -254,6 +254,10 @@ class MavenRepository:
 
     # --- public operations ---
 
+    def is_cached(self, gav: Gav, packaging: str = "jar") -> bool:
+        """Whether the artifact is in the local cache, so reading it fetches nothing."""
+        return (self.config.local_repo_root / artifact_rel_path(gav, packaging)).is_file()
+
     def fetch_pom(self, gav: Gav) -> str:
         try:
             path = self._ensure_cached(artifact_rel_path(gav, packaging="pom"))

@@ -14,6 +14,7 @@ from typing import Iterable, Iterator
 
 from .errors import EmptyRangeError, MvnlockError, ResolutionError
 from .pom import DependencyDecl, EffectivePom, Gav, VersionSpec
+from .project import Pool
 from .records import Record
 from .session import session_of
 from .versions import max_version
@@ -139,13 +140,19 @@ class ResolvedTree(Record):
         return mediate_scope(occurrences[node.ga])
 
 
-def resolve(pom: EffectivePom, repo, include_test: bool = True) -> ResolvedTree:
+def resolve(pom: EffectivePom, repo, include_test: bool = True,
+            pool: Pool | None = None) -> ResolvedTree:
     """Resolve the complete dependency tree of an effective manifest.
 
     ``repo`` supplies node manifests (fetch_pom) and version listings
     (list_versions). Pass a ``Session`` to share listings and manifest models
     with the other modules of a run; any other repository handle gets a
     session of its own for this call.
+
+    Resolution runs on the calling thread. With a ``pool``, each selected
+    node whose manifest is not cached is handed to it as the node is queued,
+    so the fetch overlaps the parsing of the nodes queued before it; on a
+    warm cache nothing is handed over.
     """
     session = session_of(repo)
     root_gav = pom.coordinates
@@ -224,6 +231,12 @@ def resolve(pom: EffectivePom, repo, include_test: bool = True) -> ResolvedTree:
 
     queue: deque[ResolvedNode] = deque()
     forest: list[ResolvedNode] = []
+
+    def enqueue(node: ResolvedNode) -> None:
+        queue.append(node)
+        if pool is not None:
+            session.prefetch(node.gav, pool)
+
     for decl in pom.dependencies:
         if decl.scope == "test" and not include_test:
             continue
@@ -232,7 +245,7 @@ def resolve(pom: EffectivePom, repo, include_test: bool = True) -> ResolvedTree:
             continue
         forest.append(node)
         if node.selected:
-            queue.append(node)
+            enqueue(node)
 
     while queue:
         node = queue.popleft()
@@ -244,6 +257,6 @@ def resolve(pom: EffectivePom, repo, include_test: bool = True) -> ResolvedTree:
                 continue
             node.children.append(child)
             if child.selected:
-                queue.append(child)
+                enqueue(child)
 
     return ResolvedTree(nodes=forest, warnings=warnings)

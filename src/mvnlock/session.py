@@ -9,10 +9,12 @@ All modules therefore read one snapshot of the repository: a version
 published while the run is in progress is seen by none of them or by all.
 
 Each key is computed single-flight. The first caller asking for a key
-computes it into a cell; concurrent callers asking for the same key wait on
-that cell's event instead of fetching again, and receive its result, or its
-exception, which thereby reaches every one of them. The session starts no
-threads.
+computes it into a cell, holding the cell's lock until its outcome is set;
+concurrent callers asking for the same key wait on that lock instead of
+fetching again, and receive its result, or its exception, which thereby
+reaches every one of them. The session starts no threads: ``prefetch`` hands
+a manifest the cache lacks to the caller's ``Pool``, whose thread fills the
+cell the resolver reads later.
 """
 
 from __future__ import annotations
@@ -26,12 +28,18 @@ T = TypeVar("T")
 
 
 class _Cell:
-    """One key's outcome: its value or its exception, readable once ``done`` is set."""
+    """One key's outcome: its value or its exception, readable once ``lock`` is free.
 
-    __slots__ = ("done", "value", "error")
+    The cell is created with its lock held, and its owner releases it when
+    the outcome is set; a lock costs a small fraction of an ``Event``, and a
+    run creates a cell for every key it reads.
+    """
+
+    __slots__ = ("lock", "value", "error")
 
     def __init__(self):
-        self.done = threading.Event()
+        self.lock = threading.Lock()
+        self.lock.acquire()
         self.value = None
         self.error: BaseException | None = None
 
@@ -55,9 +63,10 @@ class Session:
                 cell.value = compute()
             except BaseException as exc:  # handed to every caller below
                 cell.error = exc
-            cell.done.set()
+            cell.lock.release()
         else:
-            cell.done.wait()
+            with cell.lock:
+                pass
         if cell.error is not None:
             raise cell.error
         return cell.value
@@ -81,6 +90,17 @@ class Session:
         return self._once(("effective_model", gav),
                           lambda: effective_pom(self.pom_model(gav),
                                                 parent_loader=self.pom_model))
+
+    def prefetch(self, gav: Gav, pool) -> None:
+        """Load ``gav``'s effective model on ``pool`` if its manifest is not cached yet.
+
+        Only a fetch is worth a thread; a cached manifest is read and parsed
+        on the caller's thread when it asks for the model. A failure stays in
+        the cell, so the caller that asks next receives it.
+        """
+        if (("effective_model", gav) not in self._results
+                and not self.repo.is_cached(gav, "pom")):
+            pool.submit(lambda: self.effective_model(gav))
 
     # --- provenance and checksums ---
 

@@ -1,6 +1,10 @@
 import json
 import os
+import shutil
 import stat
+import threading
+import time
+from collections import Counter
 
 import pytest
 
@@ -105,6 +109,42 @@ class TestGenerate:
 
 
 class TestValidate:
+    @pytest.mark.parametrize("mode", ["local", "remote"])
+    def test_reads_first_exactly_the_digests_it_compares(self, tmp_path, monkeypatch, mode):
+        from mvnlock.session import Session
+
+        fixture = build_aggregator(tmp_path)
+        fixture.repo.add("org.p", "plug", "1.0")
+        (fixture.project_root / "core" / "pom.xml").write_text(pom_xml(
+            None, "core", None, parent=("com.acme.multi", "parent", "2.0"),
+            deps=(dep_xml("org.acme", "util", "1.0"),), plugins=(("org.p", "plug", "1.0"),)),
+            encoding="utf-8")
+        flags = ("--checksum-mode", mode, "--include-plugins")
+        assert run(fixture, "generate", *flags) == 0
+        fixture.repo.add("org.acme", "lib-b", "1.5")  # web's lib-b drifts: no digest to read
+        reads: Counter = Counter()
+        lock = threading.Lock()
+        once = Session._once
+
+        def counted(self, key, compute):
+            if key[0].startswith("checksum"):
+                with lock:
+                    reads[key[:2]] += 1
+            return once(self, key, compute)
+
+        monkeypatch.setattr(Session, "_once", counted)
+        assert run(fixture, "validate", "--workers", "2", *flags) == 1
+        # once by the pooled pass, once more, as a session hit, by the comparison
+        assert set(reads.values()) == {2}
+        read = {(name, str(gav)) for name, gav in reads}
+        local = {("checksum_local", g) for g in ("org.acme:util:1.0", "org.acme:text:1.0",
+                                                  "org.acme:lib-a:1.0", "org.p:plug:1.0")}
+        if mode == "local":
+            assert read == local
+        else:
+            assert read == {("checksum_remote", g) for _, g in local} | local - {
+                ("checksum_local", "org.p:plug:1.0")}
+
     def test_untampered_exits_zero(self, single_fixture):
         assert run(single_fixture, "generate") == 0
         assert run(single_fixture, "validate") == 0
@@ -394,6 +434,87 @@ class TestOfflineAndWorkers:
         serial = [(fixture.project_root / rel / "lockfile.json").read_bytes()
                   for rel in fixture.module_paths]
         assert parallel == serial
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_workers_below_one_is_rejected(self, single_fixture, capsys, value):
+        with pytest.raises(SystemExit) as exit_info:
+            run(single_fixture, "generate", "--workers", value)
+        assert exit_info.value.code == 2
+        assert f"argument --workers: must be at least 1, got {value}" in capsys.readouterr().err
+        assert not (single_fixture.project_root / "lockfile.json").exists()
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_validate_and_freeze_stay_within_workers(self, tmp_path, monkeypatch, workers):
+        import mvnlock.freezer
+        from mvnlock.repo import MavenRepository
+
+        fixture = build_aggregator(tmp_path)
+        assert run(fixture, "generate") == 0
+        shutil.rmtree(fixture.cache_root)  # validate fetches every manifest and jar again
+        before = threading.active_count()
+        seen: dict[str, list[tuple[int, bool]]] = {}
+
+        def counted(name, call):
+            def wrapper(*args, **kwargs):
+                seen.setdefault(name, []).append(
+                    (threading.active_count(), threading.current_thread() is threading.main_thread()))
+                time.sleep(0.01)  # keeps concurrent calls alive side by side
+                return call(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("fetch_pom", "checksum_local"):
+            monkeypatch.setattr(MavenRepository, name,
+                                counted(name, getattr(MavenRepository, name)))
+        monkeypatch.setattr(mvnlock.freezer, "freeze", counted("freeze", mvnlock.freezer.freeze))
+        assert run(fixture, "validate", "--workers", str(workers)) == 0
+        assert run(fixture, "freeze", "--workers", str(workers)) == 0
+        assert max(count for calls in seen.values() for count, _ in calls) <= before + workers
+        assert {count for count, _ in seen["freeze"]} == {before}
+        # resolution and comparison stay on the main thread; hashing moves to the pool
+        assert {on_main for _, on_main in seen["freeze"]} == {True}
+        assert {on_main for _, on_main in seen["checksum_local"]} == {workers == 1}
+
+    def test_tampered_findings_do_not_depend_on_workers(self, tmp_path, capsys):
+        fixture = build_aggregator(tmp_path)
+        assert run(fixture, "generate") == 0
+        flip_byte(fixture.cached_artifact("org.acme", "text", "1.0"), 3)
+        flip_byte(fixture.cached_artifact("org.acme", "lib-b", "1.0"), 5)
+        outputs = []
+        for workers in ("1", "4"):
+            capsys.readouterr()
+            assert run(fixture, "validate", "--format", "machine", "--workers", workers) == 1
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        found = {(report["modulePath"], f["kind"], f["artifactId"])
+                 for report in json.loads(outputs[0])["reports"] for f in report["findings"]}
+        assert found == {("core", "checksum-mismatch", "text"),
+                         ("web", "checksum-mismatch", "lib-b")}
+
+    @pytest.mark.parametrize("command", ["generate", "validate"])
+    @pytest.mark.parametrize("offline", [False, True], ids=["missing", "offline"])
+    def test_first_module_missing_a_manifest_is_reported(self, tmp_path, capsys, command,
+                                                         offline):
+        fixture = build_aggregator(tmp_path)
+        if command == "validate":
+            assert run(fixture, "generate") == 0
+            shutil.rmtree(fixture.cache_root)
+        if offline:
+            extra = ("--offline",)
+            missing = ("com.google.code.gson:gson:2.13.2: offline and not cached: "
+                       "com/google/code/gson/gson/2.13.2/gson-2.13.2.pom")
+        else:
+            extra = ()
+            # one manifest deep in web's tree, and one in core's, the earlier module
+            fixture.repo.artifact_path("org.acme", "lib-b", "1.0", "pom").unlink()
+            fixture.repo.artifact_path("org.acme", "text", "1.0", "pom").unlink()
+            missing = ("org.acme:text:1.0: org/acme/text/1.0/text-1.0.pom not found in any "
+                       "configured repository")
+        capsys.readouterr()
+        assert run(fixture, command, "--workers", "4", extra=extra) == 2
+        assert capsys.readouterr().err == (
+            f"mvnlock: error: module core: cannot load manifest of {missing} "
+            "(path: com.acme.multi:core:2.0)\n")
 
 
 class TestExitCodeTotality:

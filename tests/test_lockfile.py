@@ -28,6 +28,7 @@ from mvnlock.lockfile import (
     to_document,
 )
 from mvnlock.project import load_project
+from mvnlock.repo import MavenRepository, RepositoryConfig
 from mvnlock.resolver import resolve
 
 GOLDEN = Path(__file__).parent / "data" / "golden_lockfile.json"
@@ -281,6 +282,54 @@ class TestGenerateAll:
                          workers=workers)
         assert str(info.value) == \
             "module core: no published checksum for: com.google.code.gson:gson:2.13.2"
+
+
+    def test_warm_cache_resolves_on_the_main_thread(self, tmp_path, monkeypatch):
+        fixture = build_aggregator(tmp_path)
+        generate_all(fixture.project_root, LockfileConfig(), fixture.repository())
+        on_main = record_threads(monkeypatch)
+        generate_all(fixture.project_root, LockfileConfig(), fixture.repository(), workers=4)
+        assert on_main == {"fetch_pom": {True}, "list_versions": {True}, "parse_pom": {True}}
+
+    def test_cold_cache_fills_manifests_on_the_pool(self, tmp_path, monkeypatch):
+        fixture = build_aggregator(tmp_path)
+        on_main = record_threads(monkeypatch, pause=0.01)
+        runs = {}
+        for workers in (4, 1):
+            repo = MavenRepository(RepositoryConfig(remote_base_urls=(fixture.repo.url,),
+                                                    local_repo_root=tmp_path / f"cache{workers}"))
+            runs[workers] = [(rel, serialize(lock)) for rel, lock in generate_all(
+                fixture.project_root, LockfileConfig(), repo, workers=workers)]
+        assert False in on_main["fetch_pom"]
+        assert on_main["list_versions"] == {True}
+        assert runs[4] == runs[1]
+
+
+def record_threads(monkeypatch, pause: float = 0.0) -> dict[str, set[bool]]:
+    """Whether each fetch_pom, list_versions and parse_pom call ran on the main thread.
+
+    ``pause`` slows every manifest fetch, so pool threads get to fill some.
+    """
+    import mvnlock.session
+
+    on_main: dict[str, set[bool]] = {"fetch_pom": set(), "list_versions": set(),
+                                     "parse_pom": set()}
+
+    def recorded(name, call, wait=0.0):
+        def wrapper(*args, **kwargs):
+            on_main[name].add(threading.current_thread() is threading.main_thread())
+            time.sleep(wait)
+            return call(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(MavenRepository, "fetch_pom",
+                        recorded("fetch_pom", MavenRepository.fetch_pom, pause))
+    monkeypatch.setattr(MavenRepository, "list_versions",
+                        recorded("list_versions", MavenRepository.list_versions))
+    monkeypatch.setattr(mvnlock.session, "parse_pom",
+                        recorded("parse_pom", mvnlock.session.parse_pom))
+    return on_main
 
 
 class TestCanonicalForm:

@@ -7,7 +7,7 @@ import pytest
 from conftest import build_aggregator, pom_xml
 from mvnlock.errors import NotFoundError, ParentResolutionError
 from mvnlock.pom import Gav
-from mvnlock.project import for_each, load_project
+from mvnlock.project import Pool, for_each, load_project
 
 
 def test_module_order_root_first(tmp_path):
@@ -161,3 +161,31 @@ class TestForEach:
         assert bounded(lambda: for_each(list(range(30)), worker, workers)) == list(range(30))
         assert peak <= workers
         assert len(threads) == workers
+
+    def test_pool_starts_threads_for_queued_calls_only_and_joins_them(self):
+        baseline = threading.active_count()
+        ran = []
+        lock = threading.Lock()
+
+        def call(item):
+            time.sleep(0.005)
+            with lock:
+                ran.append(item)
+            if item % 2:
+                raise ValueError(f"item {item}")  # dropped: the pool thread carries on
+
+        def run_pool():
+            with Pool(3) as pool:
+                # the caller's thread and the one running bounded(), no pool thread yet
+                assert threading.active_count() == baseline + 1
+                for item in range(12):
+                    pool.submit(lambda item=item: call(item))
+                assert threading.active_count() == baseline + 1 + 3
+            return threading.active_count()
+
+        assert bounded(run_pool) == baseline + 1
+        assert sorted(ran) == list(range(12))
+
+    def test_pool_needs_a_worker(self):
+        with pytest.raises(ValueError, match="at least one worker"):
+            Pool(0)
