@@ -87,8 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "machine"), default="text")
     common.add_argument("--workers", type=_worker_count, default=4, metavar="N",
                         help="threads that fill the cache and fetch and hash artifacts "
-                             "while resolution and comparison run on the main thread; "
-                             "never multiplied, and no output depends on it")
+                             "while resolution and comparison run on the main thread "
+                             "(at 1, hashing runs on the one pool thread); never "
+                             "multiplied, and no output depends on it")
     common.add_argument("--env-os", metavar="NAME", help="override probed OS name")
     common.add_argument("--env-java", metavar="VERSION", help="override probed Java version")
     common.add_argument("--env-maven", metavar="VERSION", help="override probed Maven version")
@@ -181,9 +182,10 @@ def _lockfile(args, module: ProjectModule) -> Lockfile | None:
 def cmd_validate(args) -> int:
     """Validate every module in the three passes of ``generate_all``.
 
-    Resolve each module on this thread, read each distinct digest the
+    Resolve each module on this thread, queue each distinct digest the
     comparisons need once on the pool, then compare each module on this
-    thread. The first failing module in module order is the one reported.
+    thread once the pool has joined. The first failing module in module
+    order is the one reported.
     """
     from .integrity import ValidationReport, checksum_checks, current_digest, validate
     override = getattr(args, "override_checksum_mode", None)
@@ -203,12 +205,6 @@ def cmd_validate(args) -> int:
         return lock, resolve(module.effective, repo, include_test=lock.config.include_test,
                              pool=pool)
 
-    def read(check) -> None:
-        try:
-            current_digest(repo, *check)
-        except Exception:  # the session keeps it; pass 3 raises it for its module
-            pass
-
     prepared: list = []
     with Pool(args.workers) as pool:
         for module in modules:
@@ -218,7 +214,8 @@ def cmd_validate(args) -> int:
                 prepared.append(exc)
         checks = dict.fromkeys(check for outcome in prepared if isinstance(outcome, tuple)
                                for check in checksum_checks(*outcome, override))
-        pool.map(read, list(checks))
+        for check in checks:  # the session keeps each outcome; pass 3 reads it
+            pool.submit(lambda check=check: current_digest(repo, *check))
 
     lines, docs = [], []
     failed = False

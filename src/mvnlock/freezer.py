@@ -12,7 +12,7 @@ import hashlib
 import xml.etree.ElementTree as ET
 
 from . import __version__
-from .errors import MvnlockError, ModuleMismatchError, StaleLockfileError
+from .errors import MvnlockError, StaleLockfileError
 from .lockfile import Lockfile, LockedDependency, iter_entries, serialize
 from .pom import (
     PomModel,
@@ -56,11 +56,7 @@ def scope_for_pin(ga: tuple[str, str], forest: list[LockedDependency]) -> str:
 
 def freeze(pom: PomModel, lockfile: Lockfile) -> FrozenPom:
     """Compute overrides and pins. ``pom`` must carry concrete coordinates."""
-    coords = pom.coordinates
-    if coords != lockfile.module:
-        raise ModuleMismatchError(
-            f"lockfile is for {lockfile.module}, manifest is {coords}"
-        )
+    lockfile.check_module(pom.coordinates)
 
     directs = {e.ga: e for e in lockfile.flattened() if e.direct}
     overrides: dict[tuple[str, str], str] = {}

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import MvnlockError
-from .lockfile import EnvironmentMetadata, Lockfile, LockedDependency, probe_environment
+from .lockfile import EnvironmentMetadata, Job, Lockfile, LockedDependency, probe_environment
 from .pom import EffectivePom, Gav
 from .records import Checked, Record
 from .repo import ChecksumRecord, MavenRepository
@@ -88,26 +88,36 @@ class ValidationReport(Record):
         }
 
 
-def current_digest(repo: MavenRepository, mode: str, gav: Gav, algorithm: str) -> str:
-    """The artifact's digest now: its published sidecar in remote mode, else its hash."""
+def current_digest(repo: MavenRepository, mode: str, artifact: Job, algorithm: str) -> str:
+    """The artifact's digest now: its published sidecar in remote mode, else its hash.
+
+    ``artifact`` is ``(gav, packaging, classifier)``, read by type and
+    classifier the way generate read it.
+    """
+    gav, packaging, classifier = artifact
     checksum = repo.checksum_remote if mode == "remote" else repo.checksum_local
-    return checksum(gav, "jar", algorithm).digest
+    return checksum(gav, packaging, algorithm, classifier).digest
 
 
-def _recheck(gav: Gav, record: ChecksumRecord, mode: str, repo: MavenRepository,
+def _recheck(artifact: Job, record: ChecksumRecord, mode: str, repo: MavenRepository,
              findings: list[Finding]) -> str:
     """The artifact's digest now, fetched or hashed per ``mode``; a mismatch is a finding."""
-    actual = current_digest(repo, mode, gav, record.algorithm)
+    actual = current_digest(repo, mode, artifact, record.algorithm)
     if actual != record.digest:
+        gav = artifact[0]
         findings.append(Finding("checksum-mismatch", gav.group_id, gav.artifact_id,
                                 record.digest, actual))
     return actual
 
 
 def verify_checksums(entries: list[LockedDependency], repo: MavenRepository,
-                     override_mode: str | None = None) -> list[Finding]:
+                     override_mode: str | None = None,
+                     artifacts: dict[tuple[str, str], Job] | None = None) -> list[Finding]:
     """Recompute or refetch each entry's digest per its recorded mode.
 
+    ``artifacts`` maps an entry's g:a to the artifact of the tree node it
+    matched, with that node's type and classifier; an entry not in it is
+    read as a plain jar, the only artifact an entry names on its own.
     In remote mode the locally cached artifact is hashed as well; a remote
     digest that disagrees with the local one is its own finding, since it
     means repository and cache tell different stories.
@@ -115,10 +125,11 @@ def verify_checksums(entries: list[LockedDependency], repo: MavenRepository,
     findings: list[Finding] = []
     for entry in entries:
         gav = Gav(entry.group_id, entry.artifact_id, entry.version)
+        artifact = (artifacts or {}).get(entry.ga, (gav, "jar", None))
         mode = override_mode or entry.checksum.mode
-        actual = _recheck(gav, entry.checksum, mode, repo, findings)
+        actual = _recheck(artifact, entry.checksum, mode, repo, findings)
         if mode == "remote":
-            local = current_digest(repo, "local", gav, entry.checksum.algorithm)
+            local = current_digest(repo, "local", artifact, entry.checksum.algorithm)
             if local != actual:
                 findings.append(Finding("source-mismatch", entry.group_id,
                                         entry.artifact_id, actual, local))
@@ -126,24 +137,25 @@ def verify_checksums(entries: list[LockedDependency], repo: MavenRepository,
 
 
 def checksum_checks(lockfile: Lockfile, tree: ResolvedTree,
-                    override_mode: str | None = None) -> list[tuple[str, Gav, str]]:
-    """(mode, gav, algorithm) of every digest ``validate`` reads for this lockfile and tree.
+                    override_mode: str | None = None) -> list[tuple[str, Job, str]]:
+    """(mode, artifact, algorithm) of every digest ``validate`` reads for this lockfile and tree.
 
     Reading each one first with ``current_digest``, through the session that
     ``validate`` is given next, makes every read of its own a session hit.
     """
-    selected = {n.ga: n.gav.version for n in tree.flattened}
+    selected = {n.ga: n for n in tree.flattened}
     checks = []
     for entry in lockfile.flattened():
-        if selected.get(entry.ga) != entry.version:
+        node = selected.get(entry.ga)
+        if node is None or node.gav.version != entry.version:
             continue  # reported by validate without reading a digest
-        gav = Gav(entry.group_id, entry.artifact_id, entry.version)
         mode = override_mode or entry.checksum.mode
-        checks.append((mode, gav, entry.checksum.algorithm))
+        checks.append((mode, node.artifact, entry.checksum.algorithm))
         if mode == "remote":
-            checks.append(("local", gav, entry.checksum.algorithm))
+            checks.append(("local", node.artifact, entry.checksum.algorithm))
     mode = override_mode or lockfile.config.checksum_mode
-    checks += [(mode, gav, record.algorithm) for gav, record in lockfile.plugins or ()]
+    checks += [(mode, (gav, "jar", None), record.algorithm)
+               for gav, record in lockfile.plugins or ()]
     return checks
 
 
@@ -174,8 +186,11 @@ def validate(module_pom: EffectivePom, lockfile: Lockfile, repo: MavenRepository
     The lockfile's recorded config wins over ambient settings; only the
     explicit ``override_mode`` changes how checksums are verified. ``tree``
     is the module already resolved that way; without it the module is
-    resolved first.
+    resolved first. A lockfile recorded for other coordinates is refused,
+    as freeze refuses it. Each digest is read by the type and classifier of
+    the tree node its entry matched.
     """
+    lockfile.check_module(module_pom.coordinates)
     report = ValidationReport(module=lockfile.module)
     if tree is None:
         tree = resolve(module_pom, repo, include_test=lockfile.config.include_test)
@@ -206,11 +221,12 @@ def validate(module_pom: EffectivePom, lockfile: Lockfile, repo: MavenRepository
                 )
             matching.append(want)
 
-    report.findings.extend(verify_checksums(matching, repo, override_mode))
+    report.findings.extend(verify_checksums(
+        matching, repo, override_mode, {ga: node.artifact for ga, node in current.items()}))
 
     for gav, record in lockfile.plugins or ():
-        _recheck(gav, record, override_mode or lockfile.config.checksum_mode, repo,
-                 report.findings)
+        _recheck((gav, "jar", None), record,
+                 override_mode or lockfile.config.checksum_mode, repo, report.findings)
 
     if lockfile.environment is not None:
         report.findings.extend(

@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedLockfileVersionError,
 )
 from .pom import EffectivePom, Gav
-from .project import Pool, for_each, load_project
+from .project import Pool, load_project
 from .records import Checked, Record
 from .repo import ALGORITHMS, ChecksumRecord, MavenRepository
 from .resolver import ResolvedNode, ResolvedTree, resolve
@@ -126,6 +126,11 @@ class Lockfile(Record):
         """Every entry in the forest, depth-first over the sorted structure."""
         return list(iter_entries(self.dependencies))
 
+    def check_module(self, coordinates: Gav) -> None:
+        """Refuse to check or freeze a manifest of other coordinates against this lockfile."""
+        if coordinates != self.module:
+            raise ModuleMismatchError(f"lockfile is for {self.module}, manifest is {coordinates}")
+
 
 def iter_entries(entries: list[LockedDependency]) -> Iterator[LockedDependency]:
     for entry in entries:
@@ -155,8 +160,7 @@ def _plugin_gavs(module_pom: EffectivePom, config: LockfileConfig) -> list[Gav]:
 
 def _checksum_jobs(tree: ResolvedTree, plugin_gavs: list[Gav]) -> list[Job]:
     """Every artifact a lockfile records a checksum for: its selected nodes, then plugins."""
-    return ([(n.gav, n.packaging, n.classifier) for n in tree.flattened]
-            + [(gav, "jar", None) for gav in plugin_gavs])
+    return [n.artifact for n in tree.flattened] + [(gav, "jar", None) for gav in plugin_gavs]
 
 
 def _fetch_checksum(repo, config: LockfileConfig,
@@ -174,22 +178,51 @@ def _fetch_checksum(repo, config: LockfileConfig,
         return None
 
 
+def _resolve_and_hash(poms: list[EffectivePom], config: LockfileConfig, session,
+                      workers: int) -> list[ResolvedTree | Exception]:
+    """Passes 1 and 2 of ``generate_all``: each manifest's tree, or what resolving it raised.
+
+    Each distinct artifact of every tree is queued on the pool once; leaving
+    the pool joins its threads, so every checksum's outcome is in the session
+    when this returns.
+    """
+    trees: list[ResolvedTree | Exception] = []
+    jobs: dict[Job, None] = {}
+    with Pool(workers) as pool:
+        for pom in poms:
+            try:
+                tree = resolve(pom, session, include_test=config.include_test, pool=pool)
+                jobs.update(dict.fromkeys(_checksum_jobs(tree, _plugin_gavs(pom, config))))
+            except Exception as exc:  # raised by pass 3, in module order
+                tree = exc
+            trees.append(tree)
+        for job in jobs:
+            pool.submit(lambda job=job: _fetch_checksum(session, config, job))
+    return trees
+
+
 def generate_lockfile(module_pom: EffectivePom, config: LockfileConfig,
                       repo: MavenRepository,
                       environment: EnvironmentMetadata | None = None,
                       max_workers: int = 4, tree: ResolvedTree | None = None) -> Lockfile:
     """Attach a checksum to every selected node of the module's tree.
 
-    Without ``tree`` the module is resolved first. Checksums are fetched
-    ``max_workers`` at a time; the lockfile does not depend on their order.
+    Every read goes through one session of ``repo`` (``session_of``). With
+    ``tree``, as in pass 3 of ``generate_all``, each checksum is a session
+    hit and no pool starts. Without it, the module first runs passes 1 and 2
+    on a pool of ``max_workers`` threads. Checksums are then read in job
+    order, so the first error in that order is raised; the lockfile does not
+    depend on the order in which the threads computed them.
     """
+    session = session_of(repo)
     if tree is None:
-        tree = resolve(module_pom, repo, include_test=config.include_test)
+        (tree,) = _resolve_and_hash([module_pom], config, session, max_workers)
+        if isinstance(tree, Exception):
+            raise tree
     occurrences = tree.occurrence_scopes()
     plugin_gavs = _plugin_gavs(module_pom, config)
-    jobs = _checksum_jobs(tree, plugin_gavs)
-    checksums = dict(zip(jobs, for_each(jobs, lambda job: _fetch_checksum(repo, config, job),
-                                        max_workers)))
+    checksums = {job: _fetch_checksum(session, config, job)
+                 for job in _checksum_jobs(tree, plugin_gavs)}
     unavailable = [job[0] for job, outcome in checksums.items() if outcome is None]
     if unavailable:
         raise GenerationError(
@@ -197,7 +230,7 @@ def generate_lockfile(module_pom: EffectivePom, config: LockfileConfig,
         )
 
     def lock_node(node: ResolvedNode) -> LockedDependency:
-        record, source = checksums[(node.gav, node.packaging, node.classifier)]
+        record, source = checksums[node.artifact]
         return LockedDependency(
             group_id=node.gav.group_id,
             artifact_id=node.gav.artifact_id,
@@ -247,45 +280,26 @@ def generate_all(project_root: Path, config: LockfileConfig, repo: MavenReposito
 
     1. resolve every module on the calling thread, in module order, while
        the pool fills the cache with the manifests it lacks;
-    2. fetch and hash each distinct artifact of all modules once, on the
-       pool, into the session;
+    2. queue each distinct artifact of all modules on the pool once, to be
+       fetched and hashed into the session; leaving the pool waits for all;
     3. assemble each module's lockfile in module order on the calling thread,
        where every checksum is a session hit.
 
-    Results come in module order. An error in pass 1 or 2 is kept in the
-    session or beside its module and raised by pass 3, so the first failing
-    module in module order is the one reported, as a ``GenerationError``
-    naming it.
+    Results come in module order. The session keeps what a pass 2 call
+    raised, and pass 1 keeps its error beside its module; pass 3 raises
+    either, so the first failing module in module order is the one reported,
+    as a ``GenerationError`` naming it.
     """
     session = session_of(repo)
     modules = load_project(project_root, session)
-
-    def fill(job: Job) -> None:
-        try:
-            _fetch_checksum(session, config, job)
-        except Exception:  # the session keeps it; pass 3 raises it for its module
-            pass
-
-    resolved: list[tuple[ResolvedTree | Exception, list[Job]]] = []
-    with Pool(workers) as pool:
-        for module in modules:
-            try:
-                tree = resolve(module.effective, session, include_test=config.include_test,
-                               pool=pool)
-                resolved.append((tree, _checksum_jobs(tree, _plugin_gavs(module.effective,
-                                                                         config))))
-            except Exception as exc:  # raised by pass 3, in module order
-                resolved.append((exc, []))
-        jobs = list(dict.fromkeys(job for _, module_jobs in resolved for job in module_jobs))
-        pool.map(fill, jobs)
-
+    trees = _resolve_and_hash([m.effective for m in modules], config, session, workers)
     results = []
-    for module, (tree, _) in zip(modules, resolved):
+    for module, tree in zip(modules, trees):
         try:
             if isinstance(tree, Exception):
                 raise tree
             lock = generate_lockfile(module.effective, config, session,
-                                     environment=environment, max_workers=1, tree=tree)
+                                     environment=environment, tree=tree)
         except MvnlockError as exc:
             raise GenerationError(f"module {module.rel_path}: {exc}") from exc
         results.append((module.rel_path, lock))

@@ -82,10 +82,12 @@ class Pool:
     Threads here only wait: they fill the cache, and fetch and hash
     artifacts. Resolution and comparison stay on the calling thread, where a
     cached manifest parses faster than it could be handed to a thread and
-    back. ``submit`` queues a call and returns at once; ``map`` runs a batch
-    and returns its results. A thread starts only when a call is queued, so a
-    command that queues nothing runs no thread besides its own. Leaving the
-    ``with`` block lets every queued call finish and joins every thread.
+    back. ``submit`` is the one way in: it queues a call and returns at once,
+    and the call keeps its own outcome, in a ``Session`` cell. A thread starts
+    only when a call is queued, so a command that queues nothing runs no
+    thread besides its own, and even one worker is a thread of its own.
+    Leaving the ``with`` block lets every queued call finish and joins every
+    thread, so every outcome is in place once the block is left.
     """
 
     def __init__(self, workers: int):
@@ -124,51 +126,3 @@ class Pool:
                 call()
             except Exception:  # the call's owner keeps its outcome, see submit
                 pass
-
-    def map(self, worker: Callable, items: list) -> list:
-        """Apply worker to every item on the pool's threads; results in item order.
-
-        At most ``workers`` threads take the items in item order, one at a
-        time. Once a call fails, no thread takes another item, so every item
-        before the failed one has been started; the first error in item order
-        is raised once every started call has returned. With one worker or
-        one item, the calls run in order on the calling thread, which stops at
-        the first error.
-        """
-        if self.workers == 1 or len(items) <= 1:
-            return [worker(item) for item in items]
-        results: list = [None] * len(items)
-        errors: dict[int, BaseException] = {}
-        indices = iter(range(len(items)))
-        lock = threading.Lock()
-        takers = min(self.workers, len(items))
-        finished = threading.Semaphore(0)
-
-        def take() -> None:
-            try:
-                while True:
-                    with lock:
-                        index = None if errors else next(indices, None)
-                    if index is None:
-                        return
-                    try:
-                        results[index] = worker(items[index])
-                    except BaseException as exc:  # raised on the calling thread below
-                        with lock:
-                            errors[index] = exc
-            finally:
-                finished.release()
-
-        for _ in range(takers):
-            self.submit(take)
-        for _ in range(takers):
-            finished.acquire()
-        if errors:
-            raise errors[min(errors)]
-        return results
-
-
-def for_each(items: list, worker: Callable, workers: int) -> list:
-    """``Pool.map`` on a pool of its own, whose threads have ended when it returns."""
-    with Pool(workers) as pool:
-        return pool.map(worker, items)

@@ -100,6 +100,11 @@ class ResolvedNode(Record):
     def ga(self) -> tuple[str, str]:
         return self.gav.ga
 
+    @property
+    def artifact(self) -> tuple[Gav, str, str | None]:
+        """(gav, packaging, classifier): the file this node resolves to, as checksums key it."""
+        return (self.gav, self.packaging, self.classifier)
+
 
 class ResolvedTree(Record):
     __slots__ = ("nodes", "warnings")

@@ -14,7 +14,10 @@ concurrent callers asking for the same key wait on that lock instead of
 fetching again, and receive its result, or its exception, which thereby
 reaches every one of them. The session starts no threads: ``prefetch`` hands
 a manifest the cache lacks to the caller's ``Pool``, whose thread fills the
-cell the resolver reads later.
+cell the resolver reads later, and generate and validate queue each
+checksum there the same way. The cell, not the pool, is where every outcome
+of pool work is kept: the pool thread drops what the call raised, and the
+caller that reads the key next raises it, in its own order.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ class _Cell:
 
 
 class Session:
-    """Memoizing, single-flight view of one repository for the length of a run."""
+    """Memoizing, single-flight view of one repository for a run; it keeps all pool outcomes."""
 
     def __init__(self, repo):
         self.repo = repo

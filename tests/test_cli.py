@@ -223,6 +223,90 @@ class TestValidate:
         assert "environment-drift" in out and "warning" in out
 
 
+def build_shapes(tmp_path):
+    """A module with a direct ``<type>pom</type>`` dependency and a ``tests``-classified jar.
+
+    The classified jar's plain sibling is published too, with other bytes, so
+    a digest read by the wrong file differs from the locked one.
+    """
+    fixture = build_single(tmp_path)
+    repo = fixture.repo
+    repo.add("org.acme", "bom-ish", "1.0", packaging="pom")
+    repo.write_sidecars(repo.artifact_path("org.acme", "bom-ish", "1.0", "pom"))
+    repo.add("org.acme", "fixtures", "1.0")
+    tests_jar = repo.artifact_path("org.acme", "fixtures", "1.0", "jar").with_name(
+        "fixtures-1.0-tests.jar")
+    tests_jar.write_bytes(b"test classes of org.acme:fixtures:1.0 " * 9)
+    repo.write_sidecars(tests_jar)
+    classified = ("<dependency><groupId>org.acme</groupId><artifactId>fixtures</artifactId>"
+                  "<version>1.0</version><classifier>tests</classifier>"
+                  "<scope>test</scope></dependency>")
+    (fixture.project_root / "pom.xml").write_text(pom_xml(
+        "com.acme", "app", "1.0.0",
+        deps=(dep_xml("com.google.code.gson", "gson", "2.13.2"),
+              dep_xml("org.acme", "bom-ish", "1.0", dep_type="pom"),
+              classified),
+    ), encoding="utf-8")
+    return fixture, tests_jar
+
+
+class TestTypeAndClassifier:
+    """Validate reads each entry by the type and classifier generate locked."""
+
+    @pytest.mark.parametrize("mode", ["local", "remote"])
+    def test_fresh_lockfile_validates(self, tmp_path, capsys, mode):
+        fixture, _ = build_shapes(tmp_path)
+        assert run(fixture, "generate", "--checksum-mode", mode) == 0
+        capsys.readouterr()
+        assert run(fixture, "validate") == 0
+        assert capsys.readouterr().out == "module . (com.acme:app:1.0.0): ok\n"
+
+    @pytest.mark.parametrize("mode", ["local", "remote"])
+    def test_flipped_classified_jar_is_reported(self, tmp_path, capsys, mode):
+        fixture, tests_jar = build_shapes(tmp_path)
+        assert run(fixture, "generate", "--checksum-mode", mode) == 0
+        if mode == "local":
+            kind = "checksum-mismatch"  # the cached copy no longer hashes to the lock
+            flip_byte(fixture.cache_root / tests_jar.relative_to(fixture.repo.root), 4)
+        else:
+            kind = "source-mismatch"  # the sidecar still matches; the fetched jar does not
+            flip_byte(tests_jar, 4)
+        capsys.readouterr()
+        assert run(fixture, "validate", "--format", "machine") == 1
+        (report,) = json.loads(capsys.readouterr().out)["reports"]
+        assert [(f["kind"], f["groupId"], f["artifactId"]) for f in report["findings"]] == [
+            (kind, "org.acme", "fixtures")]
+
+
+class TestModuleMismatch:
+    """Validate refuses a lockfile of other coordinates, with freeze's error."""
+
+    @pytest.mark.parametrize("command", ["validate", "freeze"])
+    def test_another_modules_lockfile(self, tmp_path, capsys, command):
+        fixture = build_aggregator(tmp_path)
+        assert run(fixture, "generate") == 0
+        shutil.copy(fixture.project_root / "core" / "lockfile.json",
+                    fixture.project_root / "web" / "lockfile.json")
+        capsys.readouterr()
+        assert run(fixture, command, "--format", "machine") == 2
+        assert capsys.readouterr() == ("", (
+            "mvnlock: error: module web: lockfile is for com.acme.multi:core:2.0, "
+            "manifest is com.acme.multi:web:2.0\n"))
+
+    @pytest.mark.parametrize("command", ["validate", "freeze"])
+    def test_bumped_module_version(self, tmp_path, capsys, command):
+        fixture = build_aggregator(tmp_path)
+        assert run(fixture, "generate") == 0
+        web_pom = fixture.project_root / "web" / "pom.xml"
+        web_pom.write_text(web_pom.read_text().replace(
+            "<artifactId>web</artifactId>", "<artifactId>web</artifactId><version>2.1</version>"))
+        capsys.readouterr()
+        assert run(fixture, command) == 2
+        assert capsys.readouterr() == ("", (
+            "mvnlock: error: module web: lockfile is for com.acme.multi:web:2.0, "
+            "manifest is com.acme.multi:web:2.1\n"))
+
+
 class TestFreeze:
     def test_writes_frozen_pom(self, single_fixture):
         assert run(single_fixture, "generate") == 0
@@ -471,9 +555,10 @@ class TestOfflineAndWorkers:
         assert run(fixture, "freeze", "--workers", str(workers)) == 0
         assert max(count for calls in seen.values() for count, _ in calls) <= before + workers
         assert {count for count, _ in seen["freeze"]} == {before}
-        # resolution and comparison stay on the main thread; hashing moves to the pool
+        # resolution and comparison stay on the main thread; hashing runs on the pool,
+        # on its one thread at 1 worker
         assert {on_main for _, on_main in seen["freeze"]} == {True}
-        assert {on_main for _, on_main in seen["checksum_local"]} == {workers == 1}
+        assert {on_main for _, on_main in seen["checksum_local"]} == {False}
 
     def test_tampered_findings_do_not_depend_on_workers(self, tmp_path, capsys):
         fixture = build_aggregator(tmp_path)

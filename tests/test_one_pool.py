@@ -4,6 +4,12 @@ A stdlib ``ast`` check: any other module that constructs ``threading.Thread``
 (or a ``Thread`` imported from ``threading``), or imports ``concurrent.futures``
 or ``queue``, fails it, so no command can open a second pool and run more
 than ``--workers`` threads.
+
+Work reaches the pool one way, ``Pool.submit``, and its outcome stays where
+the call keeps it, in a ``Session`` cell. So ``submit`` is the pool's only
+public method, and ``Pool._serve`` is the only ``except`` clause in the
+package that drops what it caught: any other swallowed error would vanish
+instead of reaching the module that owns it.
 """
 
 import ast
@@ -80,3 +86,57 @@ def test_checker_reports_every_kind_of_thread_start():
         "m.py:8 threading.Thread()",
         "m.py:9 T()",
     ]
+
+
+def swallows(source: str, filename: str) -> list[str]:
+    """Every ``except`` clause whose body only passes, by file and enclosing definition."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{where}.{child.name}" if where else child.name
+            elif isinstance(child, ast.ExceptHandler) and all(
+                    ast.unparse(stmt) in ("pass", "...") for stmt in child.body):
+                found.append(f"{filename} {where or '<module>'}")
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_pool_runs_work_only_through_submit():
+    tree = ast.parse((PACKAGE / POOL_MODULE).read_text(encoding="utf-8"))
+    (pool,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Pool"]
+    assert [node.name for node in pool.body if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("_")] == ["submit"]
+
+
+def test_only_the_pool_thread_drops_errors():
+    found = [hit for path in sorted(PACKAGE.glob("*.py"))
+             for hit in swallows(path.read_text(encoding="utf-8"), path.name)]
+    assert found == [f"{POOL_MODULE} Pool._serve"]
+
+
+def test_checker_reports_a_planted_swallow():
+    source = (
+        "def fill(job):\n"
+        "    try:\n"
+        "        job()\n"
+        "    except Exception:\n"
+        "        pass\n"
+        "class Reader:\n"
+        "    def read(self, check):\n"
+        "        try:\n"
+        "            check()\n"
+        "        except (OSError, ValueError):\n"
+        "            ...\n"
+        "        except KeyError:\n"
+        "            raise\n"
+        "try:\n"
+        "    import fast\n"
+        "except ImportError:\n"
+        "    fast = None\n"
+    )
+    assert swallows(source, "m.py") == ["m.py fill", "m.py Reader.read"]

@@ -1,4 +1,3 @@
-import sys
 import threading
 import time
 
@@ -7,7 +6,7 @@ import pytest
 from conftest import build_aggregator, pom_xml
 from mvnlock.errors import NotFoundError, ParentResolutionError
 from mvnlock.pom import Gav
-from mvnlock.project import Pool, for_each, load_project
+from mvnlock.project import Pool, load_project
 
 
 def test_module_order_root_first(tmp_path):
@@ -88,79 +87,39 @@ def bounded(call, timeout: float = 30):
 
 
 class TestForEach:
-    def test_results_in_item_order_each_item_once(self):
-        items = list(range(2000))
-        called = []
-
-        def worker(item):
-            called.append(item)
-            return item * 2
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            results = bounded(lambda: for_each(items, worker, 8))
-        finally:
-            sys.setswitchinterval(interval)
-        assert results == [item * 2 for item in items]
-        assert sorted(called) == items
-
-    def test_first_error_in_item_order_after_started_calls_return(self):
-        started, finished = set(), set()
-        lock = threading.Lock()
-
-        def worker(item):
-            with lock:
-                started.add(item)
-            try:
-                # item 3 fails first in time, item 2 first in item order
-                time.sleep({0: 0.2, 1: 0.2, 2: 0.1}.get(item, 0))
-                if item in (2, 3):
-                    raise ValueError(f"item {item}")
-                return item
-            finally:
-                with lock:
-                    finished.add(item)
-
-        with pytest.raises(ValueError, match="^item 2$"):
-            bounded(lambda: for_each(list(range(12)), worker, 4))
-        assert finished == started
-        assert {2} <= started and max(started) <= 3
-
-    def test_serial_run_stops_at_first_error(self):
-        called = []
-
-        def worker(item):
-            called.append(item)
-            if item == 1:
-                raise ValueError("item 1")
-
-        with pytest.raises(ValueError, match="^item 1$"):
-            for_each([0, 1, 2], worker, 1)
-        assert called == [0, 1]
+    """``Pool.submit``, the one way a command runs work on threads."""
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_never_more_than_workers_threads(self, workers):
         baseline = threading.active_count()
-        running, peak, threads = 0, 0, set()
+        running, peak, threads, counts, ran = 0, 0, set(), [], []
         lock = threading.Lock()
 
-        def worker(item):
+        def call(item):
             nonlocal running, peak
             with lock:
                 running += 1
                 peak = max(peak, running)
                 threads.add(threading.get_ident())
-                # the caller's thread and the one running bounded(), plus the pool
-                assert threading.active_count() <= baseline + 1 + (workers if workers > 1 else 0)
+                counts.append(threading.active_count())
             time.sleep(0.005)
             with lock:
                 running -= 1
-            return item
+                ran.append(item)
 
-        assert bounded(lambda: for_each(list(range(30)), worker, workers)) == list(range(30))
+        def run_pool():
+            with Pool(workers) as pool:
+                for item in range(30):
+                    pool.submit(lambda item=item: call(item))
+            return threading.get_ident()
+
+        caller = bounded(run_pool)
+        assert sorted(ran) == list(range(30))
+        # the caller's thread and the one running bounded(), plus the pool
+        assert max(counts) <= baseline + 1 + workers
         assert peak <= workers
-        assert len(threads) == workers
+        # even one worker is a pool thread: the caller only queues
+        assert len(threads) == workers and caller not in threads
 
     def test_pool_starts_threads_for_queued_calls_only_and_joins_them(self):
         baseline = threading.active_count()
