@@ -169,9 +169,18 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _lockfile(args, module: ProjectModule) -> Lockfile | None:
+def _skipped(args, modules: list[ProjectModule]) -> set[Path]:
+    """The ``--skip-module`` paths, each naming a module: ``./core`` and ``core/`` name ``core``."""
+    known = {Path(module.rel_path) for module in modules}
+    unknown = [path for path in args.skip_module if Path(path) not in known]
+    if unknown:
+        raise MvnlockError(f"--skip-module names no module: {', '.join(unknown)}")
+    return {Path(path) for path in args.skip_module}
+
+
+def _lockfile(args, module: ProjectModule, skipped: set[Path]) -> Lockfile | None:
     """The module's parsed lockfile, or None for a ``--skip-module`` path."""
-    if module.rel_path in args.skip_module:
+    if Path(module.rel_path) in skipped:
         return None
     lock_path = module.directory / args.lockfile_name
     if not lock_path.is_file():
@@ -182,18 +191,20 @@ def _lockfile(args, module: ProjectModule) -> Lockfile | None:
 def cmd_validate(args) -> int:
     """Validate every module in the three passes of ``generate_all``.
 
-    Resolve each module on this thread, queue each distinct digest the
-    comparisons need once on the pool, then compare each module on this
-    thread once the pool has joined. The first failing module in module
-    order is the one reported.
+    Resolve and compare each module on this thread, queue each distinct
+    digest read of every module's checks once on the pool, then validate
+    each module on this thread once the pool has joined. The first failing
+    module in module order is the one reported.
     """
-    from .integrity import ValidationReport, checksum_checks, current_digest, validate
+    from .integrity import ValidationReport, compare, current_digest, validate
     override = getattr(args, "override_checksum_mode", None)
     repo = _repository(args)
     modules = load_project(Path(args.project), repo)
+    skipped = _skipped(args, modules)
+    reads: dict = {}
 
     def prepare(module: ProjectModule, pool: Pool):
-        lock = _lockfile(args, module)
+        lock = _lockfile(args, module, skipped)
         if lock is None:
             return None
         if (args.offline and (override or lock.config.checksum_mode) == "remote"
@@ -202,8 +213,10 @@ def cmd_validate(args) -> int:
                 f"{module.directory / args.lockfile_name} records checksum mode 'remote', "
                 "which needs remote access; to check it offline against the local "
                 "cache, pass --override-checksum-mode local")
-        return lock, resolve(module.effective, repo, include_test=lock.config.include_test,
-                             pool=pool)
+        tree = resolve(module.effective, repo, include_test=lock.config.include_test, pool=pool)
+        for *_, check_reads in compare(module.effective, lock, tree, override)[1]:
+            reads.update(dict.fromkeys(check_reads))
+        return lock, tree
 
     prepared: list = []
     with Pool(args.workers) as pool:
@@ -212,10 +225,8 @@ def cmd_validate(args) -> int:
                 prepared.append(prepare(module, pool))
             except Exception as exc:  # raised by pass 3, in module order
                 prepared.append(exc)
-        checks = dict.fromkeys(check for outcome in prepared if isinstance(outcome, tuple)
-                               for check in checksum_checks(*outcome, override))
-        for check in checks:  # the session keeps each outcome; pass 3 reads it
-            pool.submit(lambda check=check: current_digest(repo, *check))
+        for read in reads:  # the session keeps each outcome; pass 3 reads it
+            pool.submit(lambda read=read: current_digest(repo, *read))
 
     lines, docs = [], []
     failed = False
@@ -255,10 +266,12 @@ def cmd_validate(args) -> int:
 def cmd_freeze(args) -> int:
     from .freezer import emit_frozen_xml, freeze
 
+    modules = load_project(Path(args.project), _repository(args))
+    skipped = _skipped(args, modules)
     lines, docs, files = [], [], []
-    for module in load_project(Path(args.project), _repository(args)):
+    for module in modules:
         try:
-            lock = _lockfile(args, module)
+            lock = _lockfile(args, module, skipped)
             if lock is None:
                 lines.append(f"skipped {module.rel_path}")
                 continue

@@ -1,8 +1,8 @@
 """Validation of a project and its artifact cache against an existing lockfile.
 
 Two independent drift channels are checked: re-resolution (catches silent
-version and scope changes) and checksum recomputation (catches artifact
-tampering).
+version, scope and direct/transitive changes, and bumped plugins) and
+checksum recomputation (catches artifact tampering).
 Environment differences are reported as warnings, never failures.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import MvnlockError
-from .lockfile import EnvironmentMetadata, Job, Lockfile, LockedDependency, probe_environment
+from .lockfile import EnvironmentMetadata, Job, Lockfile, _plugin_gavs, probe_environment
 from .pom import EffectivePom, Gav
 from .records import Checked, Record
 from .repo import ChecksumRecord, MavenRepository
@@ -23,6 +23,7 @@ WARNING = "warning"
 _KINDS = (
     "version-mismatch",
     "scope-mismatch",
+    "direct-mismatch",
     "checksum-mismatch",
     "missing-dependency",
     "extra-dependency",
@@ -99,64 +100,83 @@ def current_digest(repo: MavenRepository, mode: str, artifact: Job, algorithm: s
     return checksum(gav, packaging, algorithm, classifier).digest
 
 
-def _recheck(artifact: Job, record: ChecksumRecord, mode: str, repo: MavenRepository,
-             findings: list[Finding]) -> str:
-    """The artifact's digest now, fetched or hashed per ``mode``; a mismatch is a finding."""
-    actual = current_digest(repo, mode, artifact, record.algorithm)
-    if actual != record.digest:
-        gav = artifact[0]
-        findings.append(Finding("checksum-mismatch", gav.group_id, gav.artifact_id,
-                                record.digest, actual))
-    return actual
+Read = tuple[str, Job, str]  # (mode, artifact, algorithm): the arguments of current_digest
+Check = tuple[str, str, ChecksumRecord, tuple[Read, ...]]  # (group, artifact, record, reads)
 
 
-def verify_checksums(entries: list[LockedDependency], repo: MavenRepository,
-                     override_mode: str | None = None,
-                     artifacts: dict[tuple[str, str], Job] | None = None) -> list[Finding]:
-    """Recompute or refetch each entry's digest per its recorded mode.
+def verify_checksums(checks: list[Check], repo: MavenRepository) -> list[Finding]:
+    """Read each check's digests now; the first must equal the recorded one.
 
-    ``artifacts`` maps an entry's g:a to the artifact of the tree node it
-    matched, with that node's type and classifier; an entry not in it is
-    read as a plain jar, the only artifact an entry names on its own.
-    In remote mode the locally cached artifact is hashed as well; a remote
-    digest that disagrees with the local one is its own finding, since it
+    A second read follows a remote one: the locally cached artifact hashed.
+    A remote digest that disagrees with it is its own finding, since it
     means repository and cache tell different stories.
     """
     findings: list[Finding] = []
-    for entry in entries:
-        gav = Gav(entry.group_id, entry.artifact_id, entry.version)
-        artifact = (artifacts or {}).get(entry.ga, (gav, "jar", None))
-        mode = override_mode or entry.checksum.mode
-        actual = _recheck(artifact, entry.checksum, mode, repo, findings)
-        if mode == "remote":
-            local = current_digest(repo, "local", artifact, entry.checksum.algorithm)
-            if local != actual:
-                findings.append(Finding("source-mismatch", entry.group_id,
-                                        entry.artifact_id, actual, local))
+    for group, artifact, record, reads in checks:
+        actual, *local = (current_digest(repo, *read) for read in reads)
+        if actual != record.digest:
+            findings.append(Finding("checksum-mismatch", group, artifact, record.digest, actual))
+        if local and local[0] != actual:
+            findings.append(Finding("source-mismatch", group, artifact, actual, local[0]))
     return findings
 
 
-def checksum_checks(lockfile: Lockfile, tree: ResolvedTree,
-                    override_mode: str | None = None) -> list[tuple[str, Job, str]]:
-    """(mode, artifact, algorithm) of every digest ``validate`` reads for this lockfile and tree.
+def _same_versions(locked: dict[tuple[str, str], str], current: dict[tuple[str, str], str],
+                   findings: list[Finding]) -> list[tuple[str, str]]:
+    """The g:a's locked at the version they have now; every other difference is a finding."""
+    same = []
+    for ga in locked | current:
+        want, have = locked.get(ga), current.get(ga)
+        if want is None:
+            findings.append(Finding("extra-dependency", *ga, None, have))
+        elif have is None:
+            findings.append(Finding("missing-dependency", *ga, want, None))
+        elif want != have:
+            findings.append(Finding("version-mismatch", *ga, want, have))
+        else:
+            same.append(ga)
+    return same
 
-    Reading each one first with ``current_digest``, through the session that
-    ``validate`` is given next, makes every read of its own a session hit.
+
+def compare(module_pom: EffectivePom, lockfile: Lockfile, tree: ResolvedTree,
+            override_mode: str | None = None) -> tuple[list[Finding], list[Check]]:
+    """Match the lockfile against the module's tree and its declared plugins.
+
+    Returns the findings that need no digest, and a check for every entry
+    and plugin still at its locked version. An entry is read by the type and
+    classifier of the tree node it matched, the file generate locked, per its
+    recorded mode unless ``override_mode`` is given; in remote mode the cached
+    copy is read as well. A plugin is read as a jar in the lockfile's mode.
     """
+    findings: list[Finding] = []
+    checks: list[Check] = []
+    locked = {e.ga: e for e in lockfile.flattened()}
     selected = {n.ga: n for n in tree.flattened}
-    checks = []
-    for entry in lockfile.flattened():
-        node = selected.get(entry.ga)
-        if node is None or node.gav.version != entry.version:
-            continue  # reported by validate without reading a digest
+    occurrences = tree.occurrence_scopes()
+    for ga in _same_versions({ga: e.version for ga, e in locked.items()},
+                             {ga: n.gav.version for ga, n in selected.items()}, findings):
+        entry, node = locked[ga], selected[ga]
+        scope = tree.recorded_scope(node, occurrences)
+        if entry.scope != scope:
+            findings.append(Finding("scope-mismatch", *ga, entry.scope, scope))
+        if entry.direct != (node.depth == 1):
+            placement = ("transitive", "direct")
+            findings.append(Finding("direct-mismatch", *ga, placement[entry.direct],
+                                    placement[node.depth == 1]))
         mode = override_mode or entry.checksum.mode
-        checks.append((mode, node.artifact, entry.checksum.algorithm))
+        reads = ((mode, node.artifact, entry.checksum.algorithm),)
         if mode == "remote":
-            checks.append(("local", node.artifact, entry.checksum.algorithm))
+            reads += (("local", node.artifact, entry.checksum.algorithm),)
+        checks.append((*ga, entry.checksum, reads))
+
+    plugins = {gav.ga: (gav, record) for gav, record in lockfile.plugins or ()}
+    declared = {gav.ga: gav.version for gav in _plugin_gavs(module_pom, lockfile.config)}
     mode = override_mode or lockfile.config.checksum_mode
-    checks += [(mode, (gav, "jar", None), record.algorithm)
-               for gav, record in lockfile.plugins or ()]
-    return checks
+    for ga in _same_versions({ga: gav.version for ga, (gav, _) in plugins.items()}, declared,
+                             findings):
+        gav, record = plugins[ga]
+        checks.append((*ga, record, ((mode, (gav, "jar", None), record.algorithm),)))
+    return findings, checks
 
 
 def check_environment(expected: EnvironmentMetadata | None,
@@ -187,52 +207,15 @@ def validate(module_pom: EffectivePom, lockfile: Lockfile, repo: MavenRepository
     explicit ``override_mode`` changes how checksums are verified. ``tree``
     is the module already resolved that way; without it the module is
     resolved first. A lockfile recorded for other coordinates is refused,
-    as freeze refuses it. Each digest is read by the type and classifier of
-    the tree node its entry matched.
+    as freeze refuses it. Each warning of the resolution is a note.
     """
     lockfile.check_module(module_pom.coordinates)
-    report = ValidationReport(module=lockfile.module)
     if tree is None:
         tree = resolve(module_pom, repo, include_test=lockfile.config.include_test)
-    occurrences = tree.occurrence_scopes()
-    current = {n.ga: n for n in tree.flattened}
-    expected = {e.ga: e for e in lockfile.flattened()}
-
-    matching: list[LockedDependency] = []
-    for ga in set(expected) | set(current):
-        want, have = expected.get(ga), current.get(ga)
-        if want is None:
-            report.findings.append(
-                Finding("extra-dependency", ga[0], ga[1], None, have.gav.version)
-            )
-        elif have is None:
-            report.findings.append(
-                Finding("missing-dependency", ga[0], ga[1], want.version, None)
-            )
-        elif want.version != have.gav.version:
-            report.findings.append(
-                Finding("version-mismatch", ga[0], ga[1], want.version, have.gav.version)
-            )
-        else:
-            scope = tree.recorded_scope(have, occurrences)
-            if want.scope != scope:
-                report.findings.append(
-                    Finding("scope-mismatch", ga[0], ga[1], want.scope, scope)
-                )
-            matching.append(want)
-
-    report.findings.extend(verify_checksums(
-        matching, repo, override_mode, {ga: node.artifact for ga, node in current.items()}))
-
-    for gav, record in lockfile.plugins or ():
-        _recheck((gav, "jar", None), record,
-                 override_mode or lockfile.config.checksum_mode, repo, report.findings)
-
+    findings, checks = compare(module_pom, lockfile, tree, override_mode)
+    findings += verify_checksums(checks, repo)
     if lockfile.environment is not None:
-        report.findings.extend(
-            check_environment(lockfile.environment,
-                              current_environment or probe_environment())
-        )
-
-    report.findings.sort(key=Finding.sort_key)
-    return report
+        findings += check_environment(lockfile.environment,
+                                      current_environment or probe_environment())
+    findings.sort(key=Finding.sort_key)
+    return ValidationReport(lockfile.module, findings, notes=list(tree.warnings))

@@ -218,7 +218,8 @@ def resolve(pom: EffectivePom, repo, include_test: bool = True,
             effective_scope = managed.scope
         gav = Gav(decl.group_id, decl.artifact_id, version)
         if gav in path:
-            warnings.append(f"dependency cycle dropped: {gav} already on path {path}")
+            warnings.append(f"dependency cycle dropped: {gav} already on path "
+                            f"{' -> '.join(str(g) for g in path)}")
             return None
         node = ResolvedNode(
             gav=gav,

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import shutil
 import stat
 import threading
@@ -18,6 +19,9 @@ from conftest import (
     pom_xml,
 )
 from mvnlock.cli import main
+from mvnlock.integrity import validate
+from mvnlock.lockfile import parse_lockfile
+from mvnlock.project import load_project
 
 
 def run(fixture, *argv, extra=()):
@@ -221,6 +225,95 @@ class TestValidate:
                    "--env-os", "CI", "--env-java", "21", "--env-maven", "3.9") == 0
         out = capsys.readouterr().out
         assert "environment-drift" in out and "warning" in out
+
+
+class TestManifestDrift:
+    """Validate catches a manifest edit that generate would lock differently."""
+
+    @pytest.mark.parametrize("after, finding", [
+        ((("org.p", "plug", "1.0"),), None),
+        ((("org.p", "plug", "2.0"),), "version-mismatch org.p:plug: expected '1.0', actual '2.0'"),
+        ((), "missing-dependency org.p:plug: expected '1.0', actual None"),
+        ((("org.p", "plug", "1.0"), ("org.p", "other", "1.0")),
+         "extra-dependency org.p:other: expected None, actual '1.0'"),
+    ], ids=["unchanged", "bumped", "dropped", "added"])
+    def test_plugins_match_the_manifest(self, single_fixture, capsys, after, finding):
+        for version in ("1.0", "2.0"):
+            single_fixture.repo.add("org.p", "plug", version)
+        single_fixture.repo.add("org.p", "other", "1.0")
+        pom = single_fixture.project_root / "pom.xml"
+        deps = (dep_xml("com.google.code.gson", "gson", "2.13.2"),)
+        pom.write_text(pom_xml("com.acme", "app", "1.0.0", deps=deps,
+                               plugins=(("org.p", "plug", "1.0"),)), encoding="utf-8")
+        assert run(single_fixture, "generate", "--include-plugins") == 0
+        pom.write_text(pom_xml("com.acme", "app", "1.0.0", deps=deps, plugins=after),
+                       encoding="utf-8")
+        capsys.readouterr()
+        assert run(single_fixture, "validate") == (0 if finding is None else 1)
+        assert capsys.readouterr().out == (
+            "module . (com.acme:app:1.0.0): ok\n" if finding is None else
+            f"module . (com.acme:app:1.0.0): FAILED\n  [error] {finding}\n")
+
+    @pytest.mark.parametrize("before, after, expected, actual", [
+        (False, True, "transitive", "direct"),
+        (True, False, "direct", "transitive"),
+    ], ids=["to-direct", "to-transitive"])
+    def test_direct_flag_change_is_a_finding(self, single_fixture, capsys, before, after,
+                                             expected, actual):
+        single_fixture.repo.add("org.b", "b", "1.0")
+        single_fixture.repo.add("org.a", "a", "1.0", deps=(dep_xml("org.b", "b", "[1.0,2.0)"),))
+        pom = single_fixture.project_root / "pom.xml"
+
+        def declare(direct_b: bool) -> None:
+            deps = (dep_xml("org.a", "a", "1.0"),) + (
+                (dep_xml("org.b", "b", "1.0"),) if direct_b else ())
+            pom.write_text(pom_xml("com.acme", "app", "1.0.0", deps=deps), encoding="utf-8")
+
+        declare(before)
+        assert run(single_fixture, "generate") == 0
+        declare(after)
+        capsys.readouterr()
+        assert run(single_fixture, "validate", "--format", "machine") == 1
+        (report,) = json.loads(capsys.readouterr().out)["reports"]
+        assert [(f["kind"], f["groupId"], f["artifactId"], f["expected"], f["actual"])
+                for f in report["findings"]] == [("direct-mismatch", "org.b", "b", expected, actual)]
+
+    def test_dependency_cycle_is_a_note(self, single_fixture, capsys):
+        single_fixture.repo.add("org.c", "x", "1.0", deps=(dep_xml("org.c", "y", "1.0"),))
+        single_fixture.repo.add("org.c", "y", "1.0", deps=(dep_xml("org.c", "x", "1.0"),))
+        (single_fixture.project_root / "pom.xml").write_text(pom_xml(
+            "com.acme", "app", "1.0.0", deps=(dep_xml("org.c", "x", "1.0"),)), encoding="utf-8")
+        assert run(single_fixture, "generate") == 0
+        assert capsys.readouterr().out == "generated ./lockfile.json (2 dependencies, 1 direct)\n"
+        assert b"already on path" not in (single_fixture.project_root / "lockfile.json").read_bytes()
+        note = ("dependency cycle dropped: org.c:x:1.0 already on path "
+                "com.acme:app:1.0.0 -> org.c:x:1.0 -> org.c:y:1.0")
+        assert run(single_fixture, "validate") == 0
+        assert capsys.readouterr().out == (
+            f"module . (com.acme:app:1.0.0): ok\n  note: {note}\n")
+        assert run(single_fixture, "validate", "--format", "machine") == 0
+        (report,) = json.loads(capsys.readouterr().out)["reports"]
+        assert report["notes"] == [note] and report["findings"] == []
+
+
+class TestSkipModule:
+    @pytest.mark.parametrize("command", ["validate", "freeze"])
+    def test_paths_name_modules_however_written(self, tmp_path, command):
+        fixture = build_aggregator(tmp_path)
+        assert run(fixture, "generate") == 0
+        for name in ("lockfile.json", "core/lockfile.json"):
+            (fixture.project_root / name).unlink()
+        assert run(fixture, command, "--skip-module", "./", "--skip-module", "core/") == 0
+        assert run(fixture, command, "--skip-module", ".", "--skip-module", "./core") == 0
+
+    @pytest.mark.parametrize("command", ["validate", "freeze"])
+    def test_path_naming_no_module_exits_two(self, single_fixture, capsys, command):
+        assert run(single_fixture, "generate") == 0
+        capsys.readouterr()
+        assert run(single_fixture, command, "--skip-module", "nosuch",
+                   "--skip-module", ".") == 2
+        assert capsys.readouterr() == ("", "mvnlock: error: --skip-module names no module: "
+                                           "nosuch\n")
 
 
 def build_shapes(tmp_path):
@@ -480,6 +573,27 @@ def test_every_written_file_gets_the_mode_the_umask_leaves(tmp_path):
     # cache fills of every kind, lockfiles and frozen POMs
     assert {p.suffix for p in written} == {".pom", ".jar", ".source", ".xml", ".json"}
     assert {p: stat.S_IMODE(p.stat().st_mode) for p in written} == dict.fromkeys(written, 0o640)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_library_validate_reports_what_the_cli_reports(fixture, capsys, seed):
+    """Library ``validate`` resolving on its own agrees with the CLI's pooled passes."""
+    assert run(fixture, "generate") == 0
+    rng = random.Random(seed)
+    fixture.mutate(rng)
+    flip_byte(rng.choice(sorted(fixture.cache_root.rglob("*.jar"))), 7)
+    repo = fixture.repository()
+    expected = []
+    for module in load_project(fixture.project_root, repo):
+        lock = parse_lockfile((module.directory / "lockfile.json").read_bytes())
+        expected.append({**validate(module.effective, lock, repo).to_document(),
+                         "modulePath": module.rel_path})
+    assert any(report["findings"] for report in expected)
+    for workers in ("1", "4"):
+        capsys.readouterr()
+        code = run(fixture, "validate", "--format", "machine", "--workers", workers)
+        assert json.loads(capsys.readouterr().out)["reports"] == expected
+        assert code == (0 if all(report["passed"] for report in expected) else 1)
 
 
 class TestOfflineAndWorkers:

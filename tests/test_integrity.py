@@ -6,10 +6,18 @@ import pytest
 
 from conftest import dep_xml, flip_byte, pom_xml
 from mvnlock.errors import ResolutionError
-from mvnlock.integrity import Finding, ValidationReport, check_environment, validate, verify_checksums
+from mvnlock.integrity import (
+    Finding,
+    ValidationReport,
+    check_environment,
+    compare,
+    validate,
+    verify_checksums,
+)
 from mvnlock.lockfile import EnvironmentMetadata, LockfileConfig, generate_lockfile
 from mvnlock.project import load_project
 from mvnlock.pom import Gav
+from mvnlock.resolver import resolve
 
 
 def generated(fixture, rel=".", config=None):
@@ -18,6 +26,11 @@ def generated(fixture, rel=".", config=None):
                   if m.rel_path == rel)
     lock = generate_lockfile(module.effective, config or LockfileConfig(), repo)
     return module, lock, repo
+
+
+def checks(module, lock, repo):
+    """The digest checks ``compare`` makes of the lockfile against the module resolved now."""
+    return compare(module.effective, lock, resolve(module.effective, repo))[1]
 
 
 class TestRoundTrip:
@@ -46,7 +59,7 @@ class TestTamperDetection:
 
     def test_all_digests_equal_no_findings(self, single_fixture):
         module, lock, repo = generated(single_fixture)
-        assert verify_checksums(lock.flattened(), repo) == []
+        assert verify_checksums(checks(module, lock, repo), repo) == []
 
     def test_remote_sidecar_tamper_detected(self, single_fixture):
         module, lock, repo = generated(
@@ -54,7 +67,7 @@ class TestTamperDetection:
         sidecar = single_fixture.repo.artifact_path(
             "com.google.code.gson", "gson", "2.13.2", "jar.sha256")
         sidecar.write_text("0" * 64 + "  gson-2.13.2.jar\n")
-        findings = verify_checksums(lock.flattened(), repo)
+        findings = verify_checksums(checks(module, lock, repo), repo)
         kinds = {(f.kind, f.artifact_id) for f in findings}
         assert ("checksum-mismatch", "gson") in kinds
         # repository and cache now disagree with each other as well
