@@ -306,67 +306,74 @@ def generate_all(project_root: Path, config: LockfileConfig, repo: MavenReposito
     return results
 
 
-# --- canonical serialization ---
+# --- the format ---
 
 
-def _entry_document(entry: LockedDependency) -> dict:
-    return {
-        "groupId": entry.group_id,
-        "artifactId": entry.artifact_id,
-        "version": entry.version,
-        "scope": entry.scope,
-        "checksumAlgorithm": entry.checksum.algorithm,
-        "checksum": entry.checksum.digest,
-        "checksumMode": entry.checksum.mode,
-        "repositorySource": entry.repository_source,
-        "direct": entry.direct,
-        "children": [_entry_document(child) for child in entry.children],
-    }
+class _Key(NamedTuple):
+    attr: str
+    kind: type  # bool, int, str (non-empty), list or dict
+    part: int = 0  # which part of the block holds ``attr``
+    optional: bool = False
 
 
-def to_document(lockfile: Lockfile) -> dict:
-    doc = {
-        "lockfileVersion": lockfile.lockfile_version,
-        "groupId": lockfile.module.group_id,
-        "artifactId": lockfile.module.artifact_id,
-        "version": lockfile.module.version,
-        "config": {
-            "includePlugins": lockfile.config.include_plugins,
-            "includeEnvironment": lockfile.config.include_environment,
-            "checksumMode": lockfile.config.checksum_mode,
-            "checksumAlgorithm": lockfile.config.checksum_algorithm,
-            "includeTest": lockfile.config.include_test,
-        },
-    }
-    if lockfile.environment is not None:
-        doc["environment"] = {
-            "osName": lockfile.environment.os_name,
-            "mavenVersion": lockfile.environment.maven_version,
-            "javaVersion": lockfile.environment.java_version,
-            "toolVersion": lockfile.environment.tool_version,
-        }
-    doc["dependencies"] = [_entry_document(e) for e in lockfile.dependencies]
-    if lockfile.plugins is not None:
-        doc["plugins"] = [
-            {
-                "groupId": gav.group_id,
-                "artifactId": gav.artifact_id,
-                "version": gav.version,
-                "checksumAlgorithm": record.algorithm,
-                "checksum": record.digest,
-            }
-            for gav, record in lockfile.plugins
-        ]
+# One table per block: each JSON key in written order, mapped to the attribute
+# that holds its value. A block is written from, and read into, up to two parts:
+# part 0 holds its coordinates, part 1 an entry's or plugin's ``ChecksumRecord``
+# or, at the top level, the ``Lockfile`` (whose module ``Gav`` is part 0).
+_GAV = {"groupId": _Key("group_id", str), "artifactId": _Key("artifact_id", str),
+        "version": _Key("version", str)}
+_CHECKSUM = {"checksumAlgorithm": _Key("algorithm", str, 1), "checksum": _Key("digest", str, 1)}
+_CONFIG = {"includePlugins": _Key("include_plugins", bool),
+           "includeEnvironment": _Key("include_environment", bool),
+           "checksumMode": _Key("checksum_mode", str),
+           "checksumAlgorithm": _Key("checksum_algorithm", str),
+           "includeTest": _Key("include_test", bool)}
+_ENVIRONMENT = {"osName": _Key("os_name", str), "mavenVersion": _Key("maven_version", str),
+                "javaVersion": _Key("java_version", str), "toolVersion": _Key("tool_version", str)}
+_ENTRY = {**_GAV, "scope": _Key("scope", str), **_CHECKSUM,
+          "checksumMode": _Key("mode", str, 1),
+          "repositorySource": _Key("repository_source", str),
+          "direct": _Key("direct", bool), "children": _Key("children", list)}
+_PLUGIN = {**_GAV, **_CHECKSUM}
+_LOCKFILE = {"lockfileVersion": _Key("lockfile_version", int, 1), **_GAV,
+             "config": _Key("config", dict, 1),
+             "environment": _Key("environment", dict, 1, optional=True),
+             "dependencies": _Key("dependencies", list, 1),
+             "plugins": _Key("plugins", list, 1, optional=True)}
+_KINDS = {bool: "a boolean", int: "an integer", str: "a non-empty string",
+          list: "an array", dict: "an object"}
+
+
+def _write(table: dict, *parts) -> dict:
+    """One block's JSON object, each value read from the part that holds it."""
+    doc = {}
+    for key, (attr, kind, part, optional) in table.items():
+        value = getattr(parts[part], attr)
+        if optional and value is None:
+            continue  # a block this lockfile does not record
+        if kind is list:
+            value = [_nested(item) for item in value]
+        elif kind is dict:
+            value = _nested(value)
+        doc[key] = value
     return doc
 
 
+def _nested(model) -> dict:
+    """The JSON object of a config, environment, dependency entry or plugin."""
+    if type(model) is LockedDependency:
+        return _write(_ENTRY, model, model.checksum)
+    if type(model) is tuple:  # a plugin: (Gav, ChecksumRecord)
+        return _write(_PLUGIN, *model)
+    return _write(_CONFIG if type(model) is LockfileConfig else _ENVIRONMENT, model)
+
+
+def to_document(lockfile: Lockfile) -> dict:
+    return _write(_LOCKFILE, lockfile.module, lockfile)
+
+
 def serialize(lockfile: Lockfile) -> bytes:
-    return (json.dumps(to_document(lockfile), indent=2, ensure_ascii=False) + "\n").encode(
-        "utf-8"
-    )
-
-
-# --- parsing ---
+    return (json.dumps(to_document(lockfile), indent=2, ensure_ascii=False) + "\n").encode()
 
 
 def _expect(condition: bool, message: str) -> None:
@@ -374,160 +381,100 @@ def _expect(condition: bool, message: str) -> None:
         raise LockfileSchemaError(message)
 
 
-def _check_keys(obj: dict, required: tuple[str, ...], optional: tuple[str, ...],
-                where: str) -> None:
-    _expect(isinstance(obj, dict), f"{where} must be an object")
-    unknown = set(obj) - set(required) - set(optional)
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object; a repeated key is refused, as a reader may see another value than we keep."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        repeated = next(key for i, (key, _) in enumerate(pairs) if key in dict(pairs[:i]))
+        raise LockfileSchemaError(f"lockfile repeats the key {repeated!r} in one object")
+    return obj
+
+
+def _read(obj, table: dict, where: str) -> tuple[dict, dict]:
+    """Check one block's keys and the type of each value; its values by attribute, per part."""
+    _expect(type(obj) is dict, f"{where} must be an object")
+    unknown = obj.keys() - table.keys()
     _expect(not unknown, f"{where} has unknown keys: {sorted(unknown)}")
-    missing = set(required) - set(obj)
+    missing = [key for key in table.keys() - obj.keys() if not table[key].optional]
     _expect(not missing, f"{where} is missing keys: {sorted(missing)}")
+    parts = ({}, {})
+    for key, (attr, kind, part, _) in table.items():
+        if key in obj:
+            value = obj[key]
+            if type(value) is not kind or (kind is str and not value):
+                raise LockfileSchemaError(f"{where}.{key} must be {_KINDS[kind]}")
+            parts[part][attr] = value
+    return parts
 
 
-def _parse_entry(obj: dict, depth: int, where: str,
-                 seen: dict[tuple[str, str], str]) -> LockedDependency:
-    _check_keys(
-        obj,
-        ("groupId", "artifactId", "version", "scope", "checksumAlgorithm", "checksum",
-         "checksumMode", "repositorySource", "direct", "children"),
-        (),
-        where,
-    )
-    for key in ("groupId", "artifactId", "version", "scope", "checksumAlgorithm",
-                "checksum", "checksumMode", "repositorySource"):
-        _expect(isinstance(obj[key], str) and obj[key], f"{where}.{key} must be a non-empty string")
-    _expect(isinstance(obj["direct"], bool), f"{where}.direct must be a boolean")
-    _expect(obj["direct"] == (depth == 1), f"{where}.direct contradicts its depth")
-    _expect(obj["scope"] in ("compile", "provided", "runtime", "test"),
-            f"{where}.scope is not a known scope")
-    ga = (obj["groupId"], obj["artifactId"])
-    _expect(ga not in seen, f"{where}: duplicate entry for {ga[0]}:{ga[1]}")
-    seen[ga] = where
+def _checksum(values: dict, where: str) -> ChecksumRecord:
     try:
-        record = ChecksumRecord(obj["checksumAlgorithm"], obj["checksum"], obj["checksumMode"])
+        return ChecksumRecord(**values)
     except Exception as exc:
         raise LockfileSchemaError(f"{where}: {exc}") from exc
-    _expect(isinstance(obj["children"], list), f"{where}.children must be an array")
-    children = [
+
+
+def _expect_sorted(gas: list[tuple[str, str]], where: str) -> None:
+    _expect(gas == sorted(gas), f"{where} are not in canonical order")
+
+
+def _parse_entry(obj, depth: int, where: str, seen: set) -> LockedDependency:
+    values, checksum = _read(obj, _ENTRY, where)
+    _expect(values["direct"] == (depth == 1), f"{where}.direct contradicts its depth")
+    _expect(values["scope"] in ("compile", "provided", "runtime", "test"),
+            f"{where}.scope is not a known scope")
+    ga = (values["group_id"], values["artifact_id"])
+    _expect(ga not in seen, f"{where}: duplicate entry for {ga[0]}:{ga[1]}")
+    seen.add(ga)
+    values["checksum"] = _checksum(checksum, where)
+    children = values["children"] = [
         _parse_entry(child, depth + 1, f"{where}.children[{i}]", seen)
-        for i, child in enumerate(obj["children"])
+        for i, child in enumerate(values["children"])
     ]
-    _expect(
-        [c.ga for c in children] == sorted(c.ga for c in children),
-        f"{where}.children are not in canonical order",
-    )
-    return LockedDependency(
-        group_id=obj["groupId"],
-        artifact_id=obj["artifactId"],
-        version=obj["version"],
-        scope=obj["scope"],
-        checksum=record,
-        repository_source=obj["repositorySource"],
-        direct=obj["direct"],
-        children=children,
-    )
+    _expect_sorted([c.ga for c in children], f"{where}.children")
+    return LockedDependency(**values)
+
+
+def _parse_plugins(objs: list, mode: str) -> list[tuple[Gav, ChecksumRecord]]:
+    plugins, seen = [], set()
+    for i, obj in enumerate(objs):
+        where = f"plugins[{i}]"
+        gav, checksum = _read(obj, _PLUGIN, where)
+        ga = (gav["group_id"], gav["artifact_id"])
+        _expect(ga not in seen, f"{where}: duplicate plugin {ga[0]}:{ga[1]}")
+        seen.add(ga)
+        plugins.append((Gav(**gav), _checksum({**checksum, "mode": mode}, where)))
+    _expect_sorted([gav.ga for gav, _ in plugins], "lockfile.plugins")
+    return plugins
 
 
 def parse_lockfile(data: bytes) -> Lockfile:
     try:
-        doc = json.loads(data.decode("utf-8"))
+        doc = json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise LockfileSchemaError(f"not a valid lockfile document: {exc}") from exc
-    _check_keys(
-        doc,
-        ("lockfileVersion", "groupId", "artifactId", "version", "config", "dependencies"),
-        ("environment", "plugins"),
-        "lockfile",
-    )
-    version = doc["lockfileVersion"]
-    _expect(isinstance(version, int), "lockfile.lockfileVersion must be an integer")
+    module, top = _read(doc, _LOCKFILE, "lockfile")
+    version = top["lockfile_version"]
     if version != LOCKFILE_VERSION:
         raise UnsupportedLockfileVersionError(
             f"unsupported lockfileVersion {version} (this tool writes {LOCKFILE_VERSION}, "
             "no migration support)"
         )
-    cfg_doc = doc["config"]
-    _check_keys(
-        cfg_doc,
-        ("includePlugins", "includeEnvironment", "checksumMode", "checksumAlgorithm",
-         "includeTest"),
-        (),
-        "lockfile.config",
-    )
-    for key in ("includePlugins", "includeEnvironment", "includeTest"):
-        _expect(isinstance(cfg_doc[key], bool), f"lockfile.config.{key} must be a boolean")
-    config = LockfileConfig(
-        include_plugins=cfg_doc["includePlugins"],
-        include_environment=cfg_doc["includeEnvironment"],
-        checksum_mode=cfg_doc["checksumMode"],
-        checksum_algorithm=cfg_doc["checksumAlgorithm"],
-        include_test=cfg_doc["includeTest"],
-    )
-
-    environment = None
-    _expect(("environment" in doc) == config.include_environment,
+    config = top["config"] = LockfileConfig(**_read(top["config"], _CONFIG, "lockfile.config")[0])
+    _expect(("environment" in top) == config.include_environment,
             "environment block must be present iff config.includeEnvironment")
-    if "environment" in doc:
-        env_doc = doc["environment"]
-        _check_keys(env_doc, ("osName", "mavenVersion", "javaVersion", "toolVersion"), (),
-                    "lockfile.environment")
-        for key in ("osName", "mavenVersion", "javaVersion", "toolVersion"):
-            _expect(isinstance(env_doc[key], str) and env_doc[key],
-                    f"lockfile.environment.{key} must be a non-empty string")
-        environment = EnvironmentMetadata(
-            os_name=env_doc["osName"],
-            maven_version=env_doc["mavenVersion"],
-            java_version=env_doc["javaVersion"],
-            tool_version=env_doc["toolVersion"],
-        )
-
-    _expect(isinstance(doc["dependencies"], list), "lockfile.dependencies must be an array")
-    seen: dict[tuple[str, str], str] = {}
-    dependencies = [
-        _parse_entry(entry, 1, f"dependencies[{i}]", seen)
-        for i, entry in enumerate(doc["dependencies"])
-    ]
-    _expect(
-        [e.ga for e in dependencies] == sorted(e.ga for e in dependencies),
-        "lockfile.dependencies are not in canonical order",
-    )
-
-    plugins = None
-    _expect(("plugins" in doc) == config.include_plugins,
+    if "environment" in top:
+        top["environment"] = EnvironmentMetadata(
+            **_read(top["environment"], _ENVIRONMENT, "lockfile.environment")[0])
+    seen: set[tuple[str, str]] = set()
+    dependencies = top["dependencies"] = [_parse_entry(entry, 1, f"dependencies[{i}]", seen)
+                                          for i, entry in enumerate(top["dependencies"])]
+    _expect_sorted([e.ga for e in dependencies], "lockfile.dependencies")
+    _expect(("plugins" in top) == config.include_plugins,
             "plugins block must be present iff config.includePlugins")
-    if "plugins" in doc:
-        _expect(isinstance(doc["plugins"], list), "lockfile.plugins must be an array")
-        plugins = []
-        for i, plugin in enumerate(doc["plugins"]):
-            where = f"plugins[{i}]"
-            _check_keys(plugin, ("groupId", "artifactId", "version", "checksumAlgorithm",
-                                 "checksum"), (), where)
-            for key in ("groupId", "artifactId", "version", "checksumAlgorithm", "checksum"):
-                _expect(isinstance(plugin[key], str) and plugin[key],
-                        f"{where}.{key} must be a non-empty string")
-            try:
-                record = ChecksumRecord(plugin["checksumAlgorithm"], plugin["checksum"],
-                                        config.checksum_mode)
-            except Exception as exc:
-                raise LockfileSchemaError(f"{where}: {exc}") from exc
-            plugins.append((Gav(plugin["groupId"], plugin["artifactId"], plugin["version"]),
-                            record))
-        _expect(
-            [g.ga for g, _ in plugins] == sorted(g.ga for g, _ in plugins),
-            "lockfile.plugins are not in canonical order",
-        )
-
-    for key in ("groupId", "artifactId", "version"):
-        _expect(isinstance(doc[key], str) and doc[key],
-                f"lockfile.{key} must be a non-empty string")
-
-    return Lockfile(
-        module=Gav(doc["groupId"], doc["artifactId"], doc["version"]),
-        config=config,
-        dependencies=dependencies,
-        environment=environment,
-        plugins=plugins,
-        lockfile_version=version,
-    )
+    if "plugins" in top:
+        top["plugins"] = _parse_plugins(top["plugins"], config.checksum_mode)
+    return Lockfile(Gav(**module), **top)
 
 
 # --- diffing ---

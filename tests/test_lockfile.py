@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import json
 import random
 import subprocess
 import threading
@@ -384,10 +385,103 @@ class TestCanonicalForm:
         with pytest.raises(LockfileSchemaError, match="duplicate"):
             parse_lockfile(json.dumps(doc).encode())
 
+    def test_boolean_version_rejected(self):
+        # True == 1, so a check of the value alone would accept it
+        payload = GOLDEN.read_text().replace('"lockfileVersion": 1', '"lockfileVersion": true')
+        with pytest.raises(LockfileSchemaError,
+                           match=r"^lockfile\.lockfileVersion must be an integer$"):
+            parse_lockfile(payload.encode())
+
+    @pytest.mark.parametrize("value", [[], {}])
+    def test_unhashable_config_algorithm_rejected(self, value):
+        doc = json.loads(GOLDEN.read_text())
+        doc["config"]["checksumAlgorithm"] = value
+        with pytest.raises(LockfileSchemaError,
+                           match=r"^lockfile\.config\.checksumAlgorithm must be"):
+            parse_lockfile(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("old, new", [
+        ('"groupId": "com.acme"', '"groupId": "com.acme", "groupId": "org.other"'),
+        ('"scope": "compile"', '"scope": "compile", "scope": "test"'),
+        ('"includeTest": true', '"includeTest": true, "includeTest": true'),
+    ])
+    def test_repeated_key_rejected(self, old, new):
+        payload = GOLDEN.read_text().replace(old, new, 1)
+        key = old.split('"')[1]
+        with pytest.raises(LockfileSchemaError, match=f"repeats the key '{key}'"):
+            parse_lockfile(payload.encode())
+
+    def test_duplicate_plugin_rejected(self):
+        doc = json.loads(GOLDEN.read_text())
+        (plugin,) = doc["plugins"]
+        doc["plugins"] = [{**plugin, "groupId": "p", "artifactId": "q", "version": version}
+                          for version in ("1.0", "2.0")]
+        with pytest.raises(LockfileSchemaError,
+                           match=r"^plugins\[1\]: duplicate plugin p:q$"):
+            parse_lockfile(json.dumps(doc).encode())
+
     def test_trailing_newline_and_indent(self):
         payload = GOLDEN.read_bytes()
         assert payload.endswith(b"}\n")
         assert b'  "groupId"' in payload  # two-space indentation
+
+
+WRONG_VALUES = (7, "", None, True, [], {})
+DROP = object()
+
+
+def single_faults() -> list[tuple[str, dict]]:
+    """(path and fault, document) for every one-fault change of the golden document.
+
+    At every object, each key is dropped, each value replaced by each of
+    ``WRONG_VALUES``, and an unknown key added. A replacement that leaves the
+    document valid is skipped: a value by an equal one of its type, and an
+    array by ``[]``, which only drops siblings.
+    """
+    golden = json.loads(GOLDEN.read_text())
+
+    def objects(node, path):
+        if isinstance(node, dict):
+            yield node, path
+            for key, value in node.items():
+                yield from objects(value, f"{path}.{key}")
+        elif isinstance(node, list):
+            for i, item in enumerate(node):
+                yield from objects(item, f"{path}[{i}]")
+
+    def changed(i, key, value):
+        doc = copy.deepcopy(golden)
+        obj = list(objects(doc, "lockfile"))[i][0]
+        if value is DROP:
+            del obj[key]
+        else:
+            obj[key] = value
+        return doc
+
+    faults = []
+    for i, (obj, path) in enumerate(list(objects(golden, "lockfile"))):
+        faults.append((f"{path} +mystery", changed(i, "mystery", "x")))
+        for key, value in obj.items():
+            faults.append((f"{path} -{key}", changed(i, key, DROP)))
+            for wrong in WRONG_VALUES:
+                if type(wrong) is type(value) and (wrong == value or type(value) is list):
+                    continue
+                faults.append((f"{path} {key}={json.dumps(wrong)}", changed(i, key, wrong)))
+    return faults
+
+
+SINGLE_FAULTS = single_faults()
+
+
+@pytest.mark.parametrize("doc", [doc for _, doc in SINGLE_FAULTS],
+                         ids=[name for name, _ in SINGLE_FAULTS])
+def test_single_fault_is_rejected(doc):
+    version = doc.get("lockfileVersion")
+    expected = (UnsupportedLockfileVersionError
+                if type(version) is int and version != 1 else LockfileSchemaError)
+    with pytest.raises(Exception) as raised:
+        parse_lockfile(json.dumps(doc, indent=2).encode())
+    assert type(raised.value) is expected, raised.value
 
 
 class TestDeterminism:
