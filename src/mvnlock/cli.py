@@ -30,9 +30,8 @@ from .lockfile import (
     probe_environment,
     serialize,
 )
-from .project import Pool, ProjectModule, load_project
+from .project import ProjectModule, load_project, read_ahead
 from .repo import MavenRepository, RepositoryConfig, write_files
-from .resolver import resolve
 from .session import Session
 
 EXIT_OK = 0
@@ -189,47 +188,34 @@ def _lockfile(args, module: ProjectModule, skipped: set[Path]) -> Lockfile | Non
 
 
 def cmd_validate(args) -> int:
-    """Validate every module in the three passes of ``generate_all``.
+    """Validate every module in the passes of ``generate_all``.
 
-    Resolve and compare each module on this thread, queue each distinct
-    digest read of every module's checks once on the pool, then validate
-    each module on this thread once the pool has joined. The first failing
-    module in module order is the one reported.
+    Match each module against its lockfile on this thread, read each distinct
+    digest once on the pool (``read_ahead``), then finish each report on this
+    thread. The first failing module in module order is the one reported.
     """
-    from .integrity import ValidationReport, compare, current_digest, validate
+    from .integrity import ValidationReport, current_digest, match, validate
     override = getattr(args, "override_checksum_mode", None)
     repo = _repository(args)
     modules = load_project(Path(args.project), repo)
     skipped = _skipped(args, modules)
-    reads: dict = {}
 
-    def prepare(module: ProjectModule, pool: Pool):
+    def prepare(module: ProjectModule, pool):
         lock = _lockfile(args, module, skipped)
         if lock is None:
-            return None
+            return None, ()
         if (args.offline and (override or lock.config.checksum_mode) == "remote"
                 and (lock.dependencies or lock.plugins)):
             raise OfflineError(
                 f"{module.directory / args.lockfile_name} records checksum mode 'remote', "
                 "which needs remote access; to check it offline against the local "
                 "cache, pass --override-checksum-mode local")
-        tree = resolve(module.effective, repo, include_test=lock.config.include_test, pool=pool)
-        for *_, check_reads in compare(module.effective, lock, tree, override)[1]:
-            reads.update(dict.fromkeys(check_reads))
-        return lock, tree
+        matched, reads = match(module.effective, lock, repo, override, pool)
+        return (lock, matched), reads
 
-    prepared: list = []
-    with Pool(args.workers) as pool:
-        for module in modules:
-            try:
-                prepared.append(prepare(module, pool))
-            except Exception as exc:  # raised by pass 3, in module order
-                prepared.append(exc)
-        for read in reads:  # the session keeps each outcome; pass 3 reads it
-            pool.submit(lambda read=read: current_digest(repo, *read))
-
+    prepared = read_ahead(modules, prepare, lambda read: current_digest(repo, *read),
+                          args.workers)
     lines, docs = [], []
-    failed = False
     for module, outcome in zip(modules, prepared):
         try:
             if isinstance(outcome, Exception):
@@ -238,11 +224,10 @@ def cmd_validate(args) -> int:
                 report = ValidationReport(module=module.gav,
                                           notes=["validation skipped by configuration"])
             else:
-                lock, tree = outcome
+                lock, matched = outcome
                 # only a recorded environment block is compared, so only then is one probed
                 environment = _environment(args) if lock.environment is not None else None
-                report = validate(module.effective, lock, repo, current_environment=environment,
-                                  override_mode=override, tree=tree)
+                report = validate(module.effective, lock, repo, environment, matched=matched)
         except MvnlockError as exc:
             raise MvnlockError(f"module {module.rel_path}: {exc}") from exc
         status = "ok" if report.passed else "FAILED"
@@ -255,12 +240,9 @@ def cmd_validate(args) -> int:
                 f"{finding.group_id}:{finding.artifact_id}: "
                 f"expected {finding.expected!r}, actual {finding.actual!r}"
             )
-        doc = report.to_document()
-        doc["modulePath"] = module.rel_path
-        docs.append(doc)
-        failed = failed or not report.passed
+        docs.append({**report.to_document(), "modulePath": module.rel_path})
     _emit(args, lines, {"command": "validate", "reports": docs})
-    return EXIT_VALIDATION_FAILED if failed else EXIT_OK
+    return EXIT_OK if all(doc["passed"] for doc in docs) else EXIT_VALIDATION_FAILED
 
 
 def cmd_freeze(args) -> int:

@@ -11,7 +11,15 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import MvnlockError
-from .lockfile import EnvironmentMetadata, Job, Lockfile, _plugin_gavs, probe_environment
+from .lockfile import (
+    _ENVIRONMENT,
+    EnvironmentMetadata,
+    Job,
+    Lockfile,
+    _plugin_gavs,
+    match_versions,
+    probe_environment,
+)
 from .pom import EffectivePom, Gav
 from .records import Checked, Record
 from .repo import ChecksumRecord, MavenRepository
@@ -30,6 +38,9 @@ _KINDS = (
     "environment-drift",
     "source-mismatch",
 )
+# a g:a only the tree has, one only the lockfile has, one at another version
+_VERSION_KINDS = ("extra-dependency", "missing-dependency", "version-mismatch")
+_FINDING_KEYS = ("kind", "groupId", "artifactId", "expected", "actual")  # a Finding's, as JSON
 
 
 class _FindingFields(NamedTuple):
@@ -74,17 +85,8 @@ class ValidationReport(Record):
             "artifactId": self.module.artifact_id,
             "version": self.module.version,
             "passed": self.passed,
-            "findings": [
-                {
-                    "kind": f.kind,
-                    "groupId": f.group_id,
-                    "artifactId": f.artifact_id,
-                    "expected": f.expected,
-                    "actual": f.actual,
-                    "severity": f.severity,
-                }
-                for f in self.findings
-            ],
+            "findings": [{**dict(zip(_FINDING_KEYS, f)), "severity": f.severity}
+                         for f in self.findings],
             "notes": list(self.notes),
         }
 
@@ -121,23 +123,6 @@ def verify_checksums(checks: list[Check], repo: MavenRepository) -> list[Finding
     return findings
 
 
-def _same_versions(locked: dict[tuple[str, str], str], current: dict[tuple[str, str], str],
-                   findings: list[Finding]) -> list[tuple[str, str]]:
-    """The g:a's locked at the version they have now; every other difference is a finding."""
-    same = []
-    for ga in locked | current:
-        want, have = locked.get(ga), current.get(ga)
-        if want is None:
-            findings.append(Finding("extra-dependency", *ga, None, have))
-        elif have is None:
-            findings.append(Finding("missing-dependency", *ga, want, None))
-        elif want != have:
-            findings.append(Finding("version-mismatch", *ga, want, have))
-        else:
-            same.append(ga)
-    return same
-
-
 def compare(module_pom: EffectivePom, lockfile: Lockfile, tree: ResolvedTree,
             override_mode: str | None = None) -> tuple[list[Finding], list[Check]]:
     """Match the lockfile against the module's tree and its declared plugins.
@@ -148,13 +133,14 @@ def compare(module_pom: EffectivePom, lockfile: Lockfile, tree: ResolvedTree,
     recorded mode unless ``override_mode`` is given; in remote mode the cached
     copy is read as well. A plugin is read as a jar in the lockfile's mode.
     """
-    findings: list[Finding] = []
     checks: list[Check] = []
     locked = {e.ga: e for e in lockfile.flattened()}
     selected = {n.ga: n for n in tree.flattened}
     occurrences = tree.occurrence_scopes()
-    for ga in _same_versions({ga: e.version for ga, e in locked.items()},
-                             {ga: n.gav.version for ga, n in selected.items()}, findings):
+    findings, same = match_versions({ga: e.version for ga, e in locked.items()},
+                                    {ga: n.gav.version for ga, n in selected.items()},
+                                    _VERSION_KINDS, Finding)
+    for ga in same:
         entry, node = locked[ga], selected[ga]
         scope = tree.recorded_scope(node, occurrences)
         if entry.scope != scope:
@@ -172,8 +158,10 @@ def compare(module_pom: EffectivePom, lockfile: Lockfile, tree: ResolvedTree,
     plugins = {gav.ga: (gav, record) for gav, record in lockfile.plugins or ()}
     declared = {gav.ga: gav.version for gav in _plugin_gavs(module_pom, lockfile.config)}
     mode = override_mode or lockfile.config.checksum_mode
-    for ga in _same_versions({ga: gav.version for ga, (gav, _) in plugins.items()}, declared,
-                             findings):
+    changed, same = match_versions({ga: gav.version for ga, (gav, _) in plugins.items()},
+                                   declared, _VERSION_KINDS, Finding)
+    findings += changed
+    for ga in same:
         gav, record = plugins[ga]
         checks.append((*ga, record, ((mode, (gav, "jar", None), record.algorithm),)))
     return findings, checks
@@ -184,36 +172,41 @@ def check_environment(expected: EnvironmentMetadata | None,
     """Field-wise comparison; differences are warnings only."""
     if expected is None:
         return []
-    findings = []
-    pairs = (
-        ("osName", expected.os_name, actual.os_name),
-        ("mavenVersion", expected.maven_version, actual.maven_version),
-        ("javaVersion", expected.java_version, actual.java_version),
-        ("toolVersion", expected.tool_version, actual.tool_version),
-    )
-    for name, want, have in pairs:
-        if want != have:
-            findings.append(Finding("environment-drift", "environment", name, want, have))
-    return findings
+    return [Finding("environment-drift", "environment", name, want, have)
+            for name, key in _ENVIRONMENT.items()
+            if (want := getattr(expected, key.attr)) != (have := getattr(actual, key.attr))]
+
+
+def match(module_pom: EffectivePom, lockfile: Lockfile, repo: MavenRepository,
+          override_mode: str | None = None, pool=None) -> tuple[tuple, list[Read]]:
+    """Pass 1 of validate: refuse other coordinates, as freeze does, then resolve and compare.
+
+    The module is resolved with the lockfile's recorded settings, handing
+    ``pool`` the manifests the cache lacks. Returns ``(tree, findings,
+    checks)``, which ``validate`` takes as ``matched``, and their digest reads.
+    """
+    lockfile.check_module(module_pom.coordinates)
+    tree = resolve(module_pom, repo, include_test=lockfile.config.include_test, pool=pool)
+    findings, checks = compare(module_pom, lockfile, tree, override_mode)
+    return (tree, findings, checks), [read for *_, reads in checks for read in reads]
 
 
 def validate(module_pom: EffectivePom, lockfile: Lockfile, repo: MavenRepository,
              current_environment: EnvironmentMetadata | None = None,
              override_mode: str | None = None,
-             tree: ResolvedTree | None = None) -> ValidationReport:
+             matched: tuple | None = None) -> ValidationReport:
     """Re-resolve with the lockfile's recorded settings and compare everything.
 
     The lockfile's recorded config wins over ambient settings; only the
-    explicit ``override_mode`` changes how checksums are verified. ``tree``
-    is the module already resolved that way; without it the module is
-    resolved first. A lockfile recorded for other coordinates is refused,
-    as freeze refuses it. Each warning of the resolution is a note.
+    explicit ``override_mode`` changes how checksums are verified. ``matched``
+    is ``match``'s result for this module and mode, or None to run ``match``
+    here. Each check's digests are then read, and a recorded environment is
+    compared. Each warning of the resolution is a note.
     """
-    lockfile.check_module(module_pom.coordinates)
-    if tree is None:
-        tree = resolve(module_pom, repo, include_test=lockfile.config.include_test)
-    findings, checks = compare(module_pom, lockfile, tree, override_mode)
-    findings += verify_checksums(checks, repo)
+    if matched is None:
+        matched = match(module_pom, lockfile, repo, override_mode)[0]
+    tree, findings, checks = matched
+    findings = findings + verify_checksums(checks, repo)
     if lockfile.environment is not None:
         findings += check_environment(lockfile.environment,
                                       current_environment or probe_environment())

@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedLockfileVersionError,
 )
 from .pom import EffectivePom, Gav
-from .project import Pool, load_project
+from .project import load_project, read_ahead
 from .records import Checked, Record
 from .repo import ALGORITHMS, ChecksumRecord, MavenRepository
 from .resolver import ResolvedNode, ResolvedTree, resolve
@@ -180,25 +180,12 @@ def _fetch_checksum(repo, config: LockfileConfig,
 
 def _resolve_and_hash(poms: list[EffectivePom], config: LockfileConfig, session,
                       workers: int) -> list[ResolvedTree | Exception]:
-    """Passes 1 and 2 of ``generate_all``: each manifest's tree, or what resolving it raised.
+    """Passes 1 and 2 of ``generate_all``: resolve each manifest, then hash its artifacts."""
+    def prepare(pom: EffectivePom, pool) -> tuple[ResolvedTree, list[Job]]:
+        tree = resolve(pom, session, include_test=config.include_test, pool=pool)
+        return tree, _checksum_jobs(tree, _plugin_gavs(pom, config))
 
-    Each distinct artifact of every tree is queued on the pool once; leaving
-    the pool joins its threads, so every checksum's outcome is in the session
-    when this returns.
-    """
-    trees: list[ResolvedTree | Exception] = []
-    jobs: dict[Job, None] = {}
-    with Pool(workers) as pool:
-        for pom in poms:
-            try:
-                tree = resolve(pom, session, include_test=config.include_test, pool=pool)
-                jobs.update(dict.fromkeys(_checksum_jobs(tree, _plugin_gavs(pom, config))))
-            except Exception as exc:  # raised by pass 3, in module order
-                tree = exc
-            trees.append(tree)
-        for job in jobs:
-            pool.submit(lambda job=job: _fetch_checksum(session, config, job))
-    return trees
+    return read_ahead(poms, prepare, lambda job: _fetch_checksum(session, config, job), workers)
 
 
 def generate_lockfile(module_pom: EffectivePom, config: LockfileConfig,
@@ -275,15 +262,12 @@ def generate_all(project_root: Path, config: LockfileConfig, repo: MavenReposito
     """One lockfile per module, root included (aggregators lock an empty forest).
 
     All modules read the repository through one session, so they share a
-    single snapshot of it, and one ``Pool`` of ``workers`` threads waits on
-    the repository for them. The work runs in three passes, one after another:
-
-    1. resolve every module on the calling thread, in module order, while
-       the pool fills the cache with the manifests it lacks;
-    2. queue each distinct artifact of all modules on the pool once, to be
-       fetched and hashed into the session; leaving the pool waits for all;
-    3. assemble each module's lockfile in module order on the calling thread,
-       where every checksum is a session hit.
+    single snapshot of it. Passes 1 and 2 (``project.read_ahead``) resolve
+    every module on the calling thread, in module order, while one ``Pool``
+    of ``workers`` threads fetches the manifests the cache lacks, then fetch
+    and hash each distinct artifact of all modules once on that pool. Pass 3
+    assembles each lockfile in module order on the calling thread, where
+    every checksum is a session hit.
 
     Results come in module order. The session keeps what a pass 2 call
     raised, and pass 1 keeps its error beside its module; pass 3 raises
@@ -418,7 +402,8 @@ def _expect_sorted(gas: list[tuple[str, str]], where: str) -> None:
     _expect(gas == sorted(gas), f"{where} are not in canonical order")
 
 
-def _parse_entry(obj, depth: int, where: str, seen: set) -> LockedDependency:
+def _parse_entry(obj, depth: int, where: str, seen: set,
+                 config: LockfileConfig) -> LockedDependency:
     values, checksum = _read(obj, _ENTRY, where)
     _expect(values["direct"] == (depth == 1), f"{where}.direct contradicts its depth")
     _expect(values["scope"] in ("compile", "provided", "runtime", "test"),
@@ -426,9 +411,14 @@ def _parse_entry(obj, depth: int, where: str, seen: set) -> LockedDependency:
     ga = (values["group_id"], values["artifact_id"])
     _expect(ga not in seen, f"{where}: duplicate entry for {ga[0]}:{ga[1]}")
     seen.add(ga)
-    values["checksum"] = _checksum(checksum, where)
+    record = values["checksum"] = _checksum(checksum, where)
+    for key, recorded, configured in (
+            ("checksumMode", record.mode, config.checksum_mode),
+            ("checksumAlgorithm", record.algorithm, config.checksum_algorithm)):
+        _expect(recorded == configured,
+                f"{where}.{key} is {recorded!r}, but config.{key} is {configured!r}")
     children = values["children"] = [
-        _parse_entry(child, depth + 1, f"{where}.children[{i}]", seen)
+        _parse_entry(child, depth + 1, f"{where}.children[{i}]", seen, config)
         for i, child in enumerate(values["children"])
     ]
     _expect_sorted([c.ga for c in children], f"{where}.children")
@@ -467,8 +457,9 @@ def parse_lockfile(data: bytes) -> Lockfile:
         top["environment"] = EnvironmentMetadata(
             **_read(top["environment"], _ENVIRONMENT, "lockfile.environment")[0])
     seen: set[tuple[str, str]] = set()
-    dependencies = top["dependencies"] = [_parse_entry(entry, 1, f"dependencies[{i}]", seen)
-                                          for i, entry in enumerate(top["dependencies"])]
+    dependencies = top["dependencies"] = [
+        _parse_entry(entry, 1, f"dependencies[{i}]", seen, config)
+        for i, entry in enumerate(top["dependencies"])]
     _expect_sorted([e.ga for e in dependencies], "lockfile.dependencies")
     _expect(("plugins" in top) == config.include_plugins,
             "plugins block must be present iff config.includePlugins")
@@ -488,8 +479,27 @@ class DiffEntry(NamedTuple):
     after: str | None
 
 
+def match_versions(old: dict[tuple[str, str], str], new: dict[tuple[str, str], str],
+                   kinds: tuple[str, str, str], record: type) -> tuple[list, list]:
+    """Pair two g:a -> version maps: their version changes and same-version g:as, in g:a order.
+
+    Each change is ``record(kind, group, artifact, before, after)``, where
+    ``kinds`` names, in order, a g:a only ``new`` has, one only ``old`` has,
+    and one at another version.
+    """
+    changes, same = [], []
+    for ga in sorted(old.keys() | new.keys()):
+        before, after = old.get(ga), new.get(ga)
+        if before == after:
+            same.append(ga)
+        else:
+            kind = kinds[0] if before is None else kinds[1] if after is None else kinds[2]
+            changes.append(record(kind, *ga, before, after))
+    return changes, same
+
+
 def diff(old: Lockfile, new: Lockfile) -> list[DiffEntry]:
-    """Typed change list between two lockfiles of the same module."""
+    """Typed change list between two lockfiles of the same module, in g:a order."""
     if old.module.ga != new.module.ga:
         raise ModuleMismatchError(
             f"cannot diff lockfiles of different modules: "
@@ -498,27 +508,16 @@ def diff(old: Lockfile, new: Lockfile) -> list[DiffEntry]:
         )
     old_map = {e.ga: e for e in old.flattened()}
     new_map = {e.ga: e for e in new.flattened()}
-    changes: list[DiffEntry] = []
-    for ga in sorted(set(old_map) | set(new_map)):
-        group, artifact = ga
-        before, after = old_map.get(ga), new_map.get(ga)
-        if before is None:
-            changes.append(DiffEntry("added", group, artifact, None, after.version))
-        elif after is None:
-            changes.append(DiffEntry("removed", group, artifact, before.version, None))
-        elif before.version != after.version:
-            # a version change subsumes the inevitable checksum change
-            changes.append(
-                DiffEntry("version-changed", group, artifact, before.version, after.version)
-            )
-        else:
-            if before.checksum.digest != after.checksum.digest:
-                changes.append(
-                    DiffEntry("checksum-changed", group, artifact,
-                              before.checksum.digest, after.checksum.digest)
-                )
-            if before.scope != after.scope:
-                changes.append(
-                    DiffEntry("scope-changed", group, artifact, before.scope, after.scope)
-                )
-    return changes
+    # a version change subsumes the inevitable checksum change
+    changes, same = match_versions({ga: e.version for ga, e in old_map.items()},
+                                   {ga: e.version for ga, e in new_map.items()},
+                                   ("added", "removed", "version-changed"), DiffEntry)
+    for ga in same:
+        before, after = old_map[ga], new_map[ga]
+        if before.checksum.digest != after.checksum.digest:
+            changes.append(DiffEntry("checksum-changed", *ga,
+                                     before.checksum.digest, after.checksum.digest))
+        if before.scope != after.scope:
+            changes.append(DiffEntry("scope-changed", *ga, before.scope, after.scope))
+    # a stable sort: within one g:a, a checksum change stays before a scope change
+    return sorted(changes, key=lambda change: (change.group_id, change.artifact_id))

@@ -1,4 +1,4 @@
-"""Multi-module project discovery, and the one pool of worker threads a command uses."""
+"""Multi-module project discovery, a command's one thread pool, and the read-ahead passes."""
 
 from __future__ import annotations
 
@@ -126,3 +126,26 @@ class Pool:
                 call()
             except Exception:  # the call's owner keeps its outcome, see submit
                 pass
+
+
+def read_ahead(modules: list, prepare: Callable, read: Callable, workers: int) -> list:
+    """Passes 1 and 2 of generate and validate: prepare every module, then read ahead.
+
+    ``prepare(module, pool)`` runs on the calling thread, in module order,
+    and returns the module's outcome and the keys of the reads it needs.
+    ``read(key)`` then runs on the pool once per distinct key, and keeps its
+    outcome in a ``Session`` cell. Returns the outcomes in module order, a
+    failed module's exception in its slot, once every read has finished.
+    """
+    outcomes, reads = [], {}
+    with Pool(workers) as pool:
+        for module in modules:
+            try:
+                outcome, keys = prepare(module, pool)
+                reads.update(dict.fromkeys(keys))
+            except Exception as exc:  # raised by the caller, in module order
+                outcome = exc
+            outcomes.append(outcome)
+        for key in reads:
+            pool.submit(lambda key=key: read(key))
+    return outcomes

@@ -19,6 +19,7 @@ from conftest import (
     pom_xml,
 )
 from mvnlock.cli import main
+from mvnlock.errors import ModuleMismatchError
 from mvnlock.integrity import validate
 from mvnlock.lockfile import parse_lockfile
 from mvnlock.project import load_project
@@ -148,6 +149,37 @@ class TestValidate:
         else:
             assert read == {("checksum_remote", g) for _, g in local} | local - {
                 ("checksum_local", "org.p:plug:1.0")}
+
+    @pytest.mark.parametrize("workers", ["1", "4"])
+    def test_compares_each_module_once(self, tmp_path, monkeypatch, workers):
+        import mvnlock.integrity
+
+        fixture = build_aggregator(tmp_path)
+        assert run(fixture, "generate") == 0
+        compared = []
+        compare = mvnlock.integrity.compare
+
+        def counted(module_pom, *args, **kwargs):
+            compared.append(str(module_pom.coordinates))
+            return compare(module_pom, *args, **kwargs)
+
+        monkeypatch.setattr(mvnlock.integrity, "compare", counted)
+        assert run(fixture, "validate", "--workers", workers) == 0
+        assert compared == ["com.acme.multi:parent:2.0", "com.acme.multi:core:2.0",
+                            "com.acme.multi:web:2.0"]
+
+    def test_entry_in_another_checksum_mode_is_refused(self, single_fixture, capsys):
+        assert run(single_fixture, "generate") == 0
+        lockfile = single_fixture.project_root / "lockfile.json"
+        doc = json.loads(lockfile.read_text())
+        doc["dependencies"][0]["checksumMode"] = "remote"
+        lockfile.write_text(json.dumps(doc, indent=2) + "\n")
+        for offline in ((), ("--offline",)):
+            capsys.readouterr()
+            assert run(single_fixture, "validate", *offline) == 2
+            assert capsys.readouterr().err == (
+                "mvnlock: error: module .: dependencies[0].checksumMode is 'remote', "
+                "but config.checksumMode is 'local'\n")
 
     def test_untampered_exits_zero(self, single_fixture):
         assert run(single_fixture, "generate") == 0
@@ -398,6 +430,24 @@ class TestModuleMismatch:
         assert capsys.readouterr() == ("", (
             "mvnlock: error: module web: lockfile is for com.acme.multi:web:2.0, "
             "manifest is com.acme.multi:web:2.1\n"))
+
+
+    def test_refused_before_anything_is_fetched(self, single_fixture, capsys):
+        assert run(single_fixture, "generate") == 0
+        lockfile = single_fixture.project_root / "lockfile.json"
+        lockfile.write_text(lockfile.read_text().replace(
+            '"version": "1.0.0"', '"version": "9.9.9"', 1))
+        shutil.rmtree(single_fixture.cache_root)
+        repo = single_fixture.repository()
+        (module,) = load_project(single_fixture.project_root, repo)
+        with pytest.raises(ModuleMismatchError) as raised:
+            validate(module.effective, parse_lockfile(lockfile.read_bytes()), repo)
+        assert str(raised.value) == (
+            "lockfile is for com.acme:app:9.9.9, manifest is com.acme:app:1.0.0")
+        capsys.readouterr()
+        assert run(single_fixture, "validate") == 2
+        assert capsys.readouterr() == ("", f"mvnlock: error: module .: {raised.value}\n")
+        assert not single_fixture.cache_root.exists()
 
 
 class TestFreeze:

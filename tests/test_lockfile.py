@@ -347,6 +347,22 @@ class TestCanonicalForm:
         with pytest.raises(UnsupportedLockfileVersionError):
             parse_lockfile(payload.encode())
 
+    @pytest.mark.parametrize("key, value, digest", [
+        ("checksumMode", "remote", None),
+        ("checksumAlgorithm", "sha1", "ab" * 20),
+    ])
+    def test_entry_checksum_settings_must_be_configs(self, key, value, digest):
+        doc = json.loads(GOLDEN.read_text())
+        entry = doc["dependencies"][1]["children"][0]
+        entry[key] = value
+        if digest is not None:
+            entry["checksum"] = digest
+        with pytest.raises(LockfileSchemaError) as raised:
+            parse_lockfile(json.dumps(doc).encode())
+        assert str(raised.value) == (
+            f"dependencies[1].children[0].{key} is {value!r}, "
+            f"but config.{key} is {doc['config'][key]!r}")
+
     def test_unknown_key_rejected(self):
         payload = GOLDEN.read_text().replace(
             '"lockfileVersion": 1', '"lockfileVersion": 1, "mystery": true')
@@ -560,6 +576,24 @@ class TestDiff:
         (entry,) = diff(old, new)
         assert entry.kind == "scope-changed"
         assert (entry.before, entry.after) == ("compile", "runtime")
+
+    def test_order_is_by_ga_then_checksum_before_scope(self):
+        old, new = self.base(), self.base()
+        gson, util = new.dependencies
+        gson.scope = "runtime"
+        gson.checksum = type(gson.checksum)("sha256", "ab" * 32, "local")
+        util.scope = "provided"
+        util.children[0].version = "1.1"
+        first = copy.deepcopy(gson)
+        first.group_id, first.artifact_id = "aaa.first", "one"
+        new.dependencies.insert(0, first)
+        assert [(e.kind, e.group_id, e.artifact_id) for e in diff(old, new)] == [
+            ("added", "aaa.first", "one"),
+            ("checksum-changed", "com.google.code.gson", "gson"),
+            ("scope-changed", "com.google.code.gson", "gson"),
+            ("version-changed", "org.acme", "text"),
+            ("scope-changed", "org.acme", "util"),
+        ]
 
     def test_reversal_property(self):
         old, new = self.base(), self.base()
