@@ -150,6 +150,7 @@ def _generate(args) -> list[tuple[str, Lockfile, Path, bytes]]:
     environment = _environment(args) if args.include_environment else None
     results = generate_all(Path(args.project), _lockfile_config(args), _repository(args),
                            environment=environment, workers=args.workers)
+    _skipped(args, [rel for rel, _ in results])  # refuse a path naming no module; skip none
     return [(rel, lock, Path(args.project) / rel / args.lockfile_name, serialize(lock))
             for rel, lock in results]
 
@@ -168,9 +169,9 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _skipped(args, modules: list[ProjectModule]) -> set[Path]:
+def _skipped(args, rel_paths: list[str]) -> set[Path]:
     """The ``--skip-module`` paths, each naming a module: ``./core`` and ``core/`` name ``core``."""
-    known = {Path(module.rel_path) for module in modules}
+    known = {Path(rel) for rel in rel_paths}
     unknown = [path for path in args.skip_module if Path(path) not in known]
     if unknown:
         raise MvnlockError(f"--skip-module names no module: {', '.join(unknown)}")
@@ -184,7 +185,10 @@ def _lockfile(args, module: ProjectModule, skipped: set[Path]) -> Lockfile | Non
     lock_path = module.directory / args.lockfile_name
     if not lock_path.is_file():
         raise MvnlockError(f"missing {args.lockfile_name}")
-    return parse_lockfile(lock_path.read_bytes())
+    try:
+        return parse_lockfile(lock_path.read_bytes())
+    except MvnlockError as exc:
+        raise type(exc)(f"{lock_path}: {exc}") from exc
 
 
 def cmd_validate(args) -> int:
@@ -198,7 +202,7 @@ def cmd_validate(args) -> int:
     override = getattr(args, "override_checksum_mode", None)
     repo = _repository(args)
     modules = load_project(Path(args.project), repo)
-    skipped = _skipped(args, modules)
+    skipped = _skipped(args, [m.rel_path for m in modules])
 
     def prepare(module: ProjectModule, pool):
         lock = _lockfile(args, module, skipped)
@@ -249,7 +253,7 @@ def cmd_freeze(args) -> int:
     from .freezer import emit_frozen_xml, freeze
 
     modules = load_project(Path(args.project), _repository(args))
-    skipped = _skipped(args, modules)
+    skipped = _skipped(args, [m.rel_path for m in modules])
     lines, docs, files = [], [], []
     for module in modules:
         try:

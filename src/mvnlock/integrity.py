@@ -1,69 +1,33 @@
 """Validation of a project and its artifact cache against an existing lockfile.
 
-Two independent drift channels are checked: re-resolution (catches silent
-version, scope and direct/transitive changes, and bumped plugins) and
-checksum recomputation (catches artifact tampering).
-Environment differences are reported as warnings, never failures.
+Two independent drift channels are checked. Re-resolution: the module is
+resolved again with the lockfile's recorded config, generate assembles its
+forest from that tree (``lockfile.assemble``), and ``lockfile.diff``
+compares it with the recorded one. That catches silent version, scope,
+direct/transitive and parent changes, and bumped, dropped or added plugins.
+Checksum recomputation catches artifact tampering. Environment differences
+are reported as warnings, never failures.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-from .errors import MvnlockError
 from .lockfile import (
     _ENVIRONMENT,
+    ERROR,
     EnvironmentMetadata,
+    Finding,
     Job,
     Lockfile,
-    _plugin_gavs,
-    match_versions,
+    assemble,
+    diff,
     probe_environment,
 )
 from .pom import EffectivePom, Gav
-from .records import Checked, Record
+from .records import Record
 from .repo import ChecksumRecord, MavenRepository
 from .resolver import ResolvedTree, resolve
 
-ERROR = "error"
-WARNING = "warning"
-
-_KINDS = (
-    "version-mismatch",
-    "scope-mismatch",
-    "direct-mismatch",
-    "checksum-mismatch",
-    "missing-dependency",
-    "extra-dependency",
-    "environment-drift",
-    "source-mismatch",
-)
-# a g:a only the tree has, one only the lockfile has, one at another version
-_VERSION_KINDS = ("extra-dependency", "missing-dependency", "version-mismatch")
 _FINDING_KEYS = ("kind", "groupId", "artifactId", "expected", "actual")  # a Finding's, as JSON
-
-
-class _FindingFields(NamedTuple):
-    kind: str
-    group_id: str
-    artifact_id: str
-    expected: str | None
-    actual: str | None
-
-
-class Finding(Checked, _FindingFields):
-    __slots__ = ()
-
-    def _check(self) -> None:
-        if self.kind not in _KINDS:
-            raise MvnlockError(f"unknown finding kind {self.kind!r}")
-
-    @property
-    def severity(self) -> str:
-        return WARNING if self.kind == "environment-drift" else ERROR
-
-    def sort_key(self) -> tuple[str, str, str]:
-        return (self.kind, self.group_id, self.artifact_id)
 
 
 class ValidationReport(Record):
@@ -125,46 +89,32 @@ def verify_checksums(checks: list[Check], repo: MavenRepository) -> list[Finding
 
 def compare(module_pom: EffectivePom, lockfile: Lockfile, tree: ResolvedTree,
             override_mode: str | None = None) -> tuple[list[Finding], list[Check]]:
-    """Match the lockfile against the module's tree and its declared plugins.
+    """Diff the lockfile against the forest generate assembles from ``tree``.
 
-    Returns the findings that need no digest, and a check for every entry
-    and plugin still at its locked version. An entry is read by the type and
-    classifier of the tree node it matched, the file generate locked, per its
-    recorded mode unless ``override_mode`` is given; in remote mode the cached
-    copy is read as well. A plugin is read as a jar in the lockfile's mode.
+    The forest is assembled with the lockfile's recorded config and no
+    digests, so only ``diff``'s findings that need no digest come back, with
+    a check for every entry and plugin still at its locked version. An entry
+    is read by the type and classifier of the tree node it matched, the file
+    generate locked, per its recorded mode unless ``override_mode`` is given;
+    in remote mode the cached copy is read as well. A plugin is read as a jar
+    in the lockfile's mode.
     """
+    # the recorded environment, so that assembling probes nothing; diff compares none
+    forest = assemble(module_pom, lockfile.config, tree, environment=lockfile.environment)
+    selected = {n.gav: n for n in tree.flattened}  # a Gav equals its (g, a, v) tuple
     checks: list[Check] = []
-    locked = {e.ga: e for e in lockfile.flattened()}
-    selected = {n.ga: n for n in tree.flattened}
-    occurrences = tree.occurrence_scopes()
-    findings, same = match_versions({ga: e.version for ga, e in locked.items()},
-                                    {ga: n.gav.version for ga, n in selected.items()},
-                                    _VERSION_KINDS, Finding)
-    for ga in same:
-        entry, node = locked[ga], selected[ga]
-        scope = tree.recorded_scope(node, occurrences)
-        if entry.scope != scope:
-            findings.append(Finding("scope-mismatch", *ga, entry.scope, scope))
-        if entry.direct != (node.depth == 1):
-            placement = ("transitive", "direct")
-            findings.append(Finding("direct-mismatch", *ga, placement[entry.direct],
-                                    placement[node.depth == 1]))
-        mode = override_mode or entry.checksum.mode
-        reads = ((mode, node.artifact, entry.checksum.algorithm),)
-        if mode == "remote":
-            reads += (("local", node.artifact, entry.checksum.algorithm),)
-        checks.append((*ga, entry.checksum, reads))
-
-    plugins = {gav.ga: (gav, record) for gav, record in lockfile.plugins or ()}
-    declared = {gav.ga: gav.version for gav in _plugin_gavs(module_pom, lockfile.config)}
+    for entry in sorted(lockfile.flattened(), key=lambda e: e.ga):
+        node, record = selected.get((*entry.ga, entry.version)), entry.checksum
+        if node is not None:
+            mode = override_mode or record.mode
+            modes = (mode, "local") if mode == "remote" else (mode,)
+            checks.append((*entry.ga, record,
+                           tuple((m, node.artifact, record.algorithm) for m in modes)))
+    declared = {gav for gav, _ in forest.plugins or ()}
     mode = override_mode or lockfile.config.checksum_mode
-    changed, same = match_versions({ga: gav.version for ga, (gav, _) in plugins.items()},
-                                   declared, _VERSION_KINDS, Finding)
-    findings += changed
-    for ga in same:
-        gav, record = plugins[ga]
-        checks.append((*ga, record, ((mode, (gav, "jar", None), record.algorithm),)))
-    return findings, checks
+    checks += [(*gav.ga, record, ((mode, (gav, "jar", None), record.algorithm),))
+               for gav, record in lockfile.plugins or () if gav in declared]
+    return diff(lockfile, forest), checks
 
 
 def check_environment(expected: EnvironmentMetadata | None,

@@ -138,6 +138,39 @@ def iter_entries(entries: list[LockedDependency]) -> Iterator[LockedDependency]:
         yield from iter_entries(entry.children)
 
 
+ERROR = "error"
+WARNING = "warning"
+
+_FINDING_KINDS = ("version-mismatch", "scope-mismatch", "direct-mismatch", "parent-mismatch",
+                  "checksum-mismatch", "missing-dependency", "extra-dependency",
+                  "environment-drift", "source-mismatch")
+
+
+class _FindingFields(NamedTuple):
+    kind: str
+    group_id: str
+    artifact_id: str
+    expected: str | None
+    actual: str | None
+
+
+class Finding(Checked, _FindingFields):
+    """One difference between what a lockfile records (expected) and what is found (actual)."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
+        if self.kind not in _FINDING_KINDS:
+            raise MvnlockError(f"unknown finding kind {self.kind!r}")
+
+    @property
+    def severity(self) -> str:
+        return WARNING if self.kind == "environment-drift" else ERROR
+
+    def sort_key(self) -> tuple[str, str, str]:
+        return (self.kind, self.group_id, self.artifact_id)
+
+
 # --- generation ---
 
 
@@ -206,18 +239,30 @@ def generate_lockfile(module_pom: EffectivePom, config: LockfileConfig,
         (tree,) = _resolve_and_hash([module_pom], config, session, max_workers)
         if isinstance(tree, Exception):
             raise tree
-    occurrences = tree.occurrence_scopes()
-    plugin_gavs = _plugin_gavs(module_pom, config)
     checksums = {job: _fetch_checksum(session, config, job)
-                 for job in _checksum_jobs(tree, plugin_gavs)}
+                 for job in _checksum_jobs(tree, _plugin_gavs(module_pom, config))}
     unavailable = [job[0] for job, outcome in checksums.items() if outcome is None]
     if unavailable:
         raise GenerationError(
             "no published checksum for: " + ", ".join(str(g) for g in unavailable)
         )
+    return assemble(module_pom, config, tree, checksums, environment)
+
+
+def assemble(module_pom: EffectivePom, config: LockfileConfig, tree: ResolvedTree,
+             checksums: dict[Job, tuple[ChecksumRecord, str]] | None = None,
+             environment: EnvironmentMetadata | None = None) -> Lockfile:
+    """The module's lockfile from its resolved tree: the one place that places and scopes entries.
+
+    Each selected node becomes an entry under its tree parent, with the
+    scope ``tree.recorded_scope`` gives it, and its record and source from
+    ``checksums``. Without ``checksums``, entries and plugins carry none: a
+    forest only to compare (``integrity.compare``), never to serialize.
+    """
+    occurrences = tree.occurrence_scopes()
 
     def lock_node(node: ResolvedNode) -> LockedDependency:
-        record, source = checksums[node.artifact]
+        record, source = (None, None) if checksums is None else checksums[node.artifact]
         return LockedDependency(
             group_id=node.gav.group_id,
             artifact_id=node.gav.artifact_id,
@@ -239,21 +284,13 @@ def generate_lockfile(module_pom: EffectivePom, config: LockfileConfig,
     plugins = None
     if config.include_plugins:
         plugins = sorted(
-            ((gav, checksums[(gav, "jar", None)][0]) for gav in plugin_gavs),
+            ((gav, None if checksums is None else checksums[(gav, "jar", None)][0])
+             for gav in _plugin_gavs(module_pom, config)),
             key=lambda item: item[0].ga,
         )
 
-    env = None
-    if config.include_environment:
-        env = environment or probe_environment()
-
-    return Lockfile(
-        module=module_pom.coordinates,
-        config=config,
-        dependencies=forest,
-        environment=env,
-        plugins=plugins,
-    )
+    env = (environment or probe_environment()) if config.include_environment else None
+    return Lockfile(module_pom.coordinates, config, forest, env, plugins)
 
 
 def generate_all(project_root: Path, config: LockfileConfig, repo: MavenRepository,
@@ -471,53 +508,58 @@ def parse_lockfile(data: bytes) -> Lockfile:
 # --- diffing ---
 
 
-class DiffEntry(NamedTuple):
-    kind: str  # added | removed | version-changed | checksum-changed | scope-changed
-    group_id: str
-    artifact_id: str
-    before: str | None
-    after: str | None
+def _facts(lockfile: Lockfile) -> tuple[dict, dict]:
+    """Its entries and its plugins, by g:a: ``(version, digest, scope, placement)``.
 
-
-def match_versions(old: dict[tuple[str, str], str], new: dict[tuple[str, str], str],
-                   kinds: tuple[str, str, str], record: type) -> tuple[list, list]:
-    """Pair two g:a -> version maps: their version changes and same-version g:as, in g:a order.
-
-    Each change is ``record(kind, group, artifact, before, after)``, where
-    ``kinds`` names, in order, a g:a only ``new`` has, one only ``old`` has,
-    and one at another version.
+    An entry's placement is ``"direct"`` or its parent's g:a. A plugin has
+    neither scope nor placement, and an unrecorded digest is None.
     """
-    changes, same = [], []
-    for ga in sorted(old.keys() | new.keys()):
-        before, after = old.get(ga), new.get(ga)
-        if before == after:
-            same.append(ga)
-        else:
-            kind = kinds[0] if before is None else kinds[1] if after is None else kinds[2]
-            changes.append(record(kind, *ga, before, after))
-    return changes, same
+    entries = {}
+
+    def visit(children: list[LockedDependency], parent: str | None) -> None:
+        for e in children:
+            entries[e.ga] = (e.version, e.checksum and e.checksum.digest, e.scope,
+                             "direct" if e.direct else parent)
+            visit(e.children, f"{e.group_id}:{e.artifact_id}")
+
+    visit(lockfile.dependencies, None)
+    plugins = {gav.ga: (gav.version, record and record.digest, None, None)
+               for gav, record in lockfile.plugins or ()}
+    return entries, plugins
 
 
-def diff(old: Lockfile, new: Lockfile) -> list[DiffEntry]:
-    """Typed change list between two lockfiles of the same module, in g:a order."""
+def diff(old: Lockfile, new: Lockfile) -> list[Finding]:
+    """What changed from ``old`` (expected) to ``new`` (actual), in g:a order.
+
+    Entries and plugins are matched by g:a alike: one only ``new`` has is an
+    ``extra-dependency``, one only ``old`` has a ``missing-dependency``, and
+    one at another version a ``version-mismatch``, which subsumes the rest.
+    A g:a at one version is then compared by its digest, where both sides
+    record one, then by scope, then by placement: a ``direct-mismatch`` when
+    it is direct on one side only, else a ``parent-mismatch``. Within one
+    g:a, changes come in that order, an entry's before a plugin's.
+    """
     if old.module.ga != new.module.ga:
-        raise ModuleMismatchError(
-            f"cannot diff lockfiles of different modules: "
-            f"{old.module.group_id}:{old.module.artifact_id} vs "
-            f"{new.module.group_id}:{new.module.artifact_id}"
-        )
-    old_map = {e.ga: e for e in old.flattened()}
-    new_map = {e.ga: e for e in new.flattened()}
-    # a version change subsumes the inevitable checksum change
-    changes, same = match_versions({ga: e.version for ga, e in old_map.items()},
-                                   {ga: e.version for ga, e in new_map.items()},
-                                   ("added", "removed", "version-changed"), DiffEntry)
-    for ga in same:
-        before, after = old_map[ga], new_map[ga]
-        if before.checksum.digest != after.checksum.digest:
-            changes.append(DiffEntry("checksum-changed", *ga,
-                                     before.checksum.digest, after.checksum.digest))
-        if before.scope != after.scope:
-            changes.append(DiffEntry("scope-changed", *ga, before.scope, after.scope))
-    # a stable sort: within one g:a, a checksum change stays before a scope change
+        raise ModuleMismatchError("cannot diff lockfiles of different modules: "
+                                  f"{':'.join(old.module.ga)} vs {':'.join(new.module.ga)}")
+    changes = []
+    for was, now in zip(_facts(old), _facts(new)):
+        for ga in sorted(was.keys() | now.keys()):
+            version, digest, scope, placement = zip(was.get(ga, (None,) * 4),
+                                                    now.get(ga, (None,) * 4))
+            if version[0] != version[1]:
+                kind = ("extra-dependency" if version[0] is None else
+                        "missing-dependency" if version[1] is None else "version-mismatch")
+                changes.append(Finding(kind, *ga, *version))
+                continue
+            if None not in digest and digest[0] != digest[1]:
+                changes.append(Finding("checksum-mismatch", *ga, *digest))
+            if scope[0] != scope[1]:
+                changes.append(Finding("scope-mismatch", *ga, *scope))
+            if "direct" in placement and placement[0] != placement[1]:
+                changes.append(Finding("direct-mismatch", *ga, *(
+                    "direct" if p == "direct" else "transitive" for p in placement)))
+            elif placement[0] != placement[1]:
+                changes.append(Finding("parent-mismatch", *ga, *placement))
+    # a stable sort keeps each g:a's changes in the order they were found
     return sorted(changes, key=lambda change: (change.group_id, change.artifact_id))

@@ -178,8 +178,8 @@ class TestValidate:
             capsys.readouterr()
             assert run(single_fixture, "validate", *offline) == 2
             assert capsys.readouterr().err == (
-                "mvnlock: error: module .: dependencies[0].checksumMode is 'remote', "
-                "but config.checksumMode is 'local'\n")
+                f"mvnlock: error: module .: {lockfile}: dependencies[0].checksumMode is "
+                "'remote', but config.checksumMode is 'local'\n")
 
     def test_untampered_exits_zero(self, single_fixture):
         assert run(single_fixture, "generate") == 0
@@ -346,6 +346,17 @@ class TestSkipModule:
                    "--skip-module", ".") == 2
         assert capsys.readouterr() == ("", "mvnlock: error: --skip-module names no module: "
                                            "nosuch\n")
+
+
+    def test_generate_refuses_a_path_naming_no_module_and_skips_none(self, tmp_path, capsys):
+        fixture = build_aggregator(tmp_path)
+        locks = [fixture.project_root / rel / "lockfile.json" for rel in fixture.module_paths]
+        assert run(fixture, "generate", "--skip-module", "nosuch", "--skip-module", "core") == 2
+        assert capsys.readouterr() == ("", "mvnlock: error: --skip-module names no module: "
+                                           "nosuch\n")
+        assert [lock for lock in locks if lock.exists()] == []
+        assert run(fixture, "generate", "--skip-module", "core") == 0
+        assert [lock for lock in locks if not lock.exists()] == []
 
 
 def build_shapes(tmp_path):

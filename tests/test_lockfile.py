@@ -20,6 +20,8 @@ from mvnlock.errors import (
 )
 from mvnlock.lockfile import (
     EnvironmentMetadata,
+    Finding,
+    LockedDependency,
     LockfileConfig,
     diff,
     generate_all,
@@ -28,11 +30,24 @@ from mvnlock.lockfile import (
     serialize,
     to_document,
 )
+from mvnlock.pom import Gav
 from mvnlock.project import load_project
-from mvnlock.repo import MavenRepository, RepositoryConfig
+from mvnlock.repo import ChecksumRecord, MavenRepository, RepositoryConfig
 from mvnlock.resolver import resolve
 
 GOLDEN = Path(__file__).parent / "data" / "golden_lockfile.json"
+COMPILER = ("org.apache.maven.plugins", "maven-compiler-plugin", "3.11.0")
+COMPILER_DIGEST = "e996bb0ea465fae70d3e3c66b3b6e02d33d2f1eb76d5958720578b6cf359cc2e"
+
+
+def plugin(group: str, artifact: str, version: str, digest: str = "cd") -> tuple:
+    """A locked plugin whose sha256 repeats ``digest`` (a two-hex-digit prefix) to length."""
+    return (Gav(group, artifact, version), ChecksumRecord("sha256", digest * 32, "local"))
+
+
+def transitive(group: str, artifact: str) -> LockedDependency:
+    return LockedDependency(group, artifact, "1.0", "compile",
+                            ChecksumRecord("sha256", "cd" * 32, "local"), "local", False)
 
 
 class JitterRepo:
@@ -551,8 +566,8 @@ class TestDiff:
         gson.version = "2.13.3"
         gson.checksum = type(gson.checksum)("sha256", "ab" * 32, "local")
         (entry,) = diff(old, new)
-        assert entry.kind == "version-changed"
-        assert (entry.before, entry.after) == ("2.13.2", "2.13.3")
+        assert entry.kind == "version-mismatch"
+        assert (entry.expected, entry.actual) == ("2.13.2", "2.13.3")
 
     def test_added_entry(self):
         old, new = self.base(), self.base()
@@ -560,22 +575,22 @@ class TestDiff:
         extra.group_id, extra.artifact_id = "org.new", "thing"
         new.dependencies.append(extra)
         entries = diff(old, new)
-        assert [e.kind for e in entries] == ["added"]
-        assert entries[0].after == "2.13.2"
+        assert [e.kind for e in entries] == ["extra-dependency"]
+        assert entries[0].actual == "2.13.2"
 
     def test_checksum_only_change(self):
         old, new = self.base(), self.base()
         gson = new.dependencies[0]
         gson.checksum = type(gson.checksum)("sha256", "ab" * 32, "local")
         (entry,) = diff(old, new)
-        assert entry.kind == "checksum-changed"
+        assert entry.kind == "checksum-mismatch"
 
     def test_scope_change(self):
         old, new = self.base(), self.base()
         new.dependencies[0].scope = "runtime"
         (entry,) = diff(old, new)
-        assert entry.kind == "scope-changed"
-        assert (entry.before, entry.after) == ("compile", "runtime")
+        assert entry.kind == "scope-mismatch"
+        assert (entry.expected, entry.actual) == ("compile", "runtime")
 
     def test_order_is_by_ga_then_checksum_before_scope(self):
         old, new = self.base(), self.base()
@@ -588,27 +603,80 @@ class TestDiff:
         first.group_id, first.artifact_id = "aaa.first", "one"
         new.dependencies.insert(0, first)
         assert [(e.kind, e.group_id, e.artifact_id) for e in diff(old, new)] == [
-            ("added", "aaa.first", "one"),
-            ("checksum-changed", "com.google.code.gson", "gson"),
-            ("scope-changed", "com.google.code.gson", "gson"),
-            ("version-changed", "org.acme", "text"),
-            ("scope-changed", "org.acme", "util"),
+            ("extra-dependency", "aaa.first", "one"),
+            ("checksum-mismatch", "com.google.code.gson", "gson"),
+            ("scope-mismatch", "com.google.code.gson", "gson"),
+            ("version-mismatch", "org.acme", "text"),
+            ("scope-mismatch", "org.acme", "util"),
         ]
 
     def test_reversal_property(self):
         old, new = self.base(), self.base()
-        new.dependencies[0].version = "9.9"
-        del new.dependencies[1].children[0]
+        for lock in (old, new):
+            gson, util = lock.dependencies
+            gson.children.append(transitive("org.acme", "deep"))
+            util.children.append(transitive("org.acme", "rising"))
+            lock.plugins += [plugin("org.p", "bumped", "1.0"), plugin("org.p", "hashed", "1.0")]
+        old.plugins.append(plugin("org.p", "dropped", "1.0"))
+        gson, util = new.dependencies
+        gson.version = "9.9"
+        util.scope = "provided"
+        util.checksum = type(util.checksum)("sha256", "ab" * 32, "local")
+        rising = util.children[1]
+        util.children = [gson.children.pop()]  # text goes, deep moves under util
+        rising.direct = True
+        new.dependencies.append(rising)
+        new.plugins = [new.plugins[0], plugin("org.p", "added", "1.0"),
+                       plugin("org.p", "bumped", "2.0"), plugin("org.p", "hashed", "1.0", "ef")]
         forward = diff(old, new)
+        assert sorted({e.kind for e in forward}) == [
+            "checksum-mismatch", "direct-mismatch", "extra-dependency", "missing-dependency",
+            "parent-mismatch", "scope-mismatch", "version-mismatch"]
         backward = diff(new, old)
-        swap = {"added": "removed", "removed": "added"}
+        swap = {"extra-dependency": "missing-dependency", "missing-dependency": "extra-dependency"}
         flipped = sorted(
-            (swap.get(e.kind, e.kind), e.group_id, e.artifact_id, e.after, e.before)
+            (swap.get(e.kind, e.kind), e.group_id, e.artifact_id, e.actual, e.expected)
             for e in backward
         )
         assert flipped == sorted(
-            (e.kind, e.group_id, e.artifact_id, e.before, e.after) for e in forward
+            (e.kind, e.group_id, e.artifact_id, e.expected, e.actual) for e in forward
         )
+
+    @pytest.mark.parametrize("promoted", [True, False], ids=["to-direct", "to-transitive"])
+    def test_direct_and_transitive_swap(self, promoted):
+        old, new = self.base(), self.base()
+        text = new.dependencies[1].children.pop()
+        text.direct = True
+        new.dependencies.append(text)
+        if not promoted:
+            old, new = new, old
+        placement = ("transitive", "direct") if promoted else ("direct", "transitive")
+        assert diff(old, new) == [Finding("direct-mismatch", "org.acme", "text", *placement)]
+
+    def test_entry_moved_under_another_parent(self):
+        old, new = self.base(), self.base()
+        gson, util = new.dependencies
+        gson.children, util.children = util.children, []
+        assert diff(old, new) == [Finding("parent-mismatch", "org.acme", "text",
+                                          "org.acme:util", "com.google.code.gson:gson")]
+
+    @pytest.mark.parametrize("change, finding", [
+        ("bumped", ("version-mismatch", *COMPILER[:2], "3.11.0", "3.12.0")),
+        ("dropped", ("missing-dependency", *COMPILER[:2], "3.11.0", None)),
+        ("added", ("extra-dependency", "org.p", "new", None, "1.0")),
+        ("digest", ("checksum-mismatch", *COMPILER[:2], COMPILER_DIGEST, "ab" * 32)),
+    ])
+    def test_plugin_changes(self, change, finding):
+        old, new = self.base(), self.base()
+        (compiler,) = new.plugins
+        assert compiler == (Gav(*COMPILER), ChecksumRecord("sha256", COMPILER_DIGEST, "local"))
+        new.plugins = {
+            "bumped": [plugin(*COMPILER[:2], "3.12.0")],
+            "dropped": [],
+            "added": [compiler, plugin("org.p", "new", "1.0")],
+            "digest": [plugin(*COMPILER, "ab")],
+        }[change]
+        assert diff(old, new) == [Finding(*finding)]
 
     def test_module_mismatch(self):
         old, new = self.base(), self.base()
