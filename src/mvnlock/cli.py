@@ -61,7 +61,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "Maven-style projects.",
     )
     parser.add_argument("--version", action="version", version=f"mvnlock {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
+    # the generation flags: set only when given, each under its LockfileConfig field
+    generation = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    generation.add_argument("--include-plugins", action="store_true",
+                            help="also lock build plugin coordinates and checksums")
+    generation.add_argument("--include-environment", action="store_true",
+                            help="record build environment metadata in the lockfile")
+    generation.add_argument("--checksum-mode", choices=("local", "remote"))
+    generation.add_argument("--checksum-algorithm", choices=("sha1", "sha256", "sha512"))
+    generation.add_argument("--include-test", action=argparse.BooleanOptionalAction,
+                            help="resolve direct test-scope dependencies (default: on)")
+    common = argparse.ArgumentParser(add_help=False, parents=[generation])
     common.add_argument("--project", default=".", metavar="PATH",
                         help="project root containing pom.xml (default: .)")
     common.add_argument("--repo-url", action="append", default=[], metavar="URL",
@@ -71,15 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--offline", action="store_true",
                         help="never touch remote repositories")
     common.add_argument("--timeout", type=float, default=10.0, metavar="SECONDS")
-    common.add_argument("--include-plugins", action="store_true",
-                        help="also lock build plugin coordinates and checksums")
-    common.add_argument("--include-environment", action="store_true",
-                        help="record build environment metadata in the lockfile")
-    common.add_argument("--checksum-mode", choices=("local", "remote"), default="local")
-    common.add_argument("--checksum-algorithm", choices=("sha1", "sha256", "sha512"),
-                        default="sha256")
-    common.add_argument("--include-test", action=argparse.BooleanOptionalAction,
-                        default=True, help="resolve direct test-scope dependencies")
     common.add_argument("--lockfile-name", default=DEFAULT_LOCKFILE_NAME, metavar="NAME")
     common.add_argument("--skip-module", action="append", default=[], metavar="PATH",
                         help="module path to skip, repeatable ('.' is the root)")
@@ -110,26 +111,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _repository(args) -> Session:
-    """The command's one session: every module reads the same repository snapshot."""
+def _project(args) -> tuple[Session, list[ProjectModule], set[Path]]:
+    """The command's one session and project load, and its ``--skip-module`` paths.
+
+    A skip path that names no module (``./core`` and ``core/`` name ``core``)
+    is refused here, before any dependency is resolved or read.
+    """
     urls = tuple(args.repo_url) if args.repo_url else (DEFAULT_REMOTE,)
     local = Path(args.local_repo) if args.local_repo else Path.home() / ".m2" / "repository"
-    return Session(MavenRepository(RepositoryConfig(
-        remote_base_urls=() if args.offline else urls,
-        local_repo_root=local,
-        offline=args.offline,
-        timeout=args.timeout,
-    )))
+    session = Session(MavenRepository(RepositoryConfig(
+        local, remote_base_urls=() if args.offline else urls, timeout=args.timeout)))
+    modules = load_project(Path(args.project), session)
+    known = {Path(module.rel_path) for module in modules}
+    unknown = [path for path in args.skip_module if Path(path) not in known]
+    if unknown:
+        raise MvnlockError(f"--skip-module names no module: {', '.join(unknown)}")
+    return session, modules, {Path(path) for path in args.skip_module}
 
 
-def _lockfile_config(args) -> LockfileConfig:
-    return LockfileConfig(
-        include_plugins=args.include_plugins,
-        include_environment=args.include_environment,
-        checksum_mode=args.checksum_mode,
-        checksum_algorithm=args.checksum_algorithm,
-        include_test=args.include_test,
-    )
+def _given_config(args) -> dict:
+    """The generation flags given on the command line, by ``LockfileConfig`` field."""
+    return {field: value for field, value in vars(args).items()
+            if field in LockfileConfig._fields}
 
 
 def _environment(args) -> EnvironmentMetadata:
@@ -147,10 +150,10 @@ def _emit(args, text_lines: list[str], machine_doc: dict) -> None:
 
 def _generate(args) -> list[tuple[str, Lockfile, Path, bytes]]:
     """Every module's lockfile, its target path and its bytes, in module order."""
-    environment = _environment(args) if args.include_environment else None
-    results = generate_all(Path(args.project), _lockfile_config(args), _repository(args),
-                           environment=environment, workers=args.workers)
-    _skipped(args, [rel for rel, _ in results])  # refuse a path naming no module; skip none
+    session, modules, _ = _project(args)  # generate locks every module
+    config = LockfileConfig(**_given_config(args))
+    environment = _environment(args) if config.include_environment else None
+    results = generate_all(modules, config, session, environment, args.workers)
     return [(rel, lock, Path(args.project) / rel / args.lockfile_name, serialize(lock))
             for rel, lock in results]
 
@@ -169,15 +172,6 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _skipped(args, rel_paths: list[str]) -> set[Path]:
-    """The ``--skip-module`` paths, each naming a module: ``./core`` and ``core/`` name ``core``."""
-    known = {Path(rel) for rel in rel_paths}
-    unknown = [path for path in args.skip_module if Path(path) not in known]
-    if unknown:
-        raise MvnlockError(f"--skip-module names no module: {', '.join(unknown)}")
-    return {Path(path) for path in args.skip_module}
-
-
 def _lockfile(args, module: ProjectModule, skipped: set[Path]) -> Lockfile | None:
     """The module's parsed lockfile, or None for a ``--skip-module`` path."""
     if Path(module.rel_path) in skipped:
@@ -186,9 +180,20 @@ def _lockfile(args, module: ProjectModule, skipped: set[Path]) -> Lockfile | Non
     if not lock_path.is_file():
         raise MvnlockError(f"missing {args.lockfile_name}")
     try:
-        return parse_lockfile(lock_path.read_bytes())
+        lock = parse_lockfile(lock_path.read_bytes())
     except MvnlockError as exc:
         raise type(exc)(f"{lock_path}: {exc}") from exc
+    # what is checked or frozen is the recorded config, so no flag may contradict it
+    for field, value in _given_config(args).items():
+        recorded = getattr(lock.config, field)
+        if value != recorded:
+            flag = "--" + ("no-" if value is False else "") + field.replace("_", "-")
+            given = flag if isinstance(value, bool) else f"{flag} {value}"
+            advice = (f"; to verify in mode {value!r}, pass --override-checksum-mode {value} "
+                      "to validate" if field == "checksum_mode" else "")
+            raise MvnlockError(f"{given} contradicts {lock_path}, which records "
+                               f"{field} {recorded!r}{advice}")
+    return lock
 
 
 def cmd_validate(args) -> int:
@@ -200,9 +205,7 @@ def cmd_validate(args) -> int:
     """
     from .integrity import ValidationReport, current_digest, match, validate
     override = getattr(args, "override_checksum_mode", None)
-    repo = _repository(args)
-    modules = load_project(Path(args.project), repo)
-    skipped = _skipped(args, [m.rel_path for m in modules])
+    repo, modules, skipped = _project(args)
 
     def prepare(module: ProjectModule, pool):
         lock = _lockfile(args, module, skipped)
@@ -252,8 +255,7 @@ def cmd_validate(args) -> int:
 def cmd_freeze(args) -> int:
     from .freezer import emit_frozen_xml, freeze
 
-    modules = load_project(Path(args.project), _repository(args))
-    skipped = _skipped(args, [m.rel_path for m in modules])
+    _, modules, skipped = _project(args)
     lines, docs, files = [], [], []
     for module in modules:
         try:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-from pathlib import Path
 from typing import Iterator, NamedTuple
 
 from . import __version__
@@ -23,7 +22,7 @@ from .errors import (
     UnsupportedLockfileVersionError,
 )
 from .pom import EffectivePom, Gav
-from .project import load_project, read_ahead
+from .project import ProjectModule, read_ahead
 from .records import Checked, Record
 from .repo import ALGORITHMS, ChecksumRecord, MavenRepository
 from .resolver import ResolvedNode, ResolvedTree, resolve
@@ -293,18 +292,18 @@ def assemble(module_pom: EffectivePom, config: LockfileConfig, tree: ResolvedTre
     return Lockfile(module_pom.coordinates, config, forest, env, plugins)
 
 
-def generate_all(project_root: Path, config: LockfileConfig, repo: MavenRepository,
+def generate_all(modules: list[ProjectModule], config: LockfileConfig, repo: MavenRepository,
                  environment: EnvironmentMetadata | None = None,
                  workers: int = 4) -> list[tuple[str, Lockfile]]:
-    """One lockfile per module, root included (aggregators lock an empty forest).
+    """One lockfile per module given, by its path (aggregators lock an empty forest).
 
-    All modules read the repository through one session, so they share a
-    single snapshot of it. Passes 1 and 2 (``project.read_ahead``) resolve
-    every module on the calling thread, in module order, while one ``Pool``
-    of ``workers`` threads fetches the manifests the cache lacks, then fetch
-    and hash each distinct artifact of all modules once on that pool. Pass 3
-    assembles each lockfile in module order on the calling thread, where
-    every checksum is a session hit.
+    All modules read the repository through one session, the one they were
+    loaded with, so they share a single snapshot of it. Passes 1 and 2
+    (``project.read_ahead``) resolve every module on the calling thread, in
+    module order, while one ``Pool`` of ``workers`` threads fetches the
+    manifests the cache lacks, then fetch and hash each distinct artifact of
+    all modules once on that pool. Pass 3 assembles each lockfile in module
+    order on the calling thread, where every checksum is a session hit.
 
     Results come in module order. The session keeps what a pass 2 call
     raised, and pass 1 keeps its error beside its module; pass 3 raises
@@ -312,7 +311,6 @@ def generate_all(project_root: Path, config: LockfileConfig, repo: MavenReposito
     as a ``GenerationError`` naming it.
     """
     session = session_of(repo)
-    modules = load_project(project_root, session)
     trees = _resolve_and_hash([m.effective for m in modules], config, session, workers)
     results = []
     for module, tree in zip(modules, trees):

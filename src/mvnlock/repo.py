@@ -67,9 +67,12 @@ class ChecksumRecord(Checked, _ChecksumFields):
 
 class RepositoryConfig(NamedTuple):
     local_repo_root: Path
-    remote_base_urls: tuple[str, ...] = ()
-    offline: bool = False
+    remote_base_urls: tuple[str, ...] = ()  # none: offline, only the cache is read
     timeout: float = 10.0
+
+    @property
+    def offline(self) -> bool:
+        return not self.remote_base_urls
 
 
 def artifact_rel_path(gav: Gav, packaging: str = "jar", classifier: str | None = None) -> str:
@@ -199,10 +202,6 @@ class MavenRepository:
 
     def _fetch_remote(self, rel_path: str) -> tuple[BinaryIO, str]:
         """Try each remote in order; return (open stream, base url) of the first hit."""
-        if self.config.offline:
-            raise OfflineError(f"offline: cannot fetch {rel_path}")
-        if not self.config.remote_base_urls:
-            raise NotFoundError(f"no remote repositories configured for {rel_path}")
         for base in self.config.remote_base_urls:
             url = _url(base, rel_path)
             try:

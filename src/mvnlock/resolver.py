@@ -78,17 +78,15 @@ def apply_exclusions(
 
 
 class ResolvedNode(Record):
-    __slots__ = ("gav", "effective_scope", "depth", "parent_path", "selected", "children",
+    __slots__ = ("gav", "effective_scope", "parent_path", "selected", "children",
                  "packaging", "classifier", "exclusions")
 
-    def __init__(self, gav: Gav, effective_scope: str, depth: int,
-                 parent_path: tuple[Gav, ...], selected: bool,
-                 children: list[ResolvedNode] | None = None, packaging: str = "jar",
-                 classifier: str | None = None,
+    def __init__(self, gav: Gav, effective_scope: str, parent_path: tuple[Gav, ...],
+                 selected: bool, children: list[ResolvedNode] | None = None,
+                 packaging: str = "jar", classifier: str | None = None,
                  exclusions: frozenset[tuple[str, str]] = frozenset()):
         self.gav = gav
         self.effective_scope = effective_scope
-        self.depth = depth
         self.parent_path = parent_path
         self.selected = selected
         self.children = [] if children is None else children
@@ -99,6 +97,11 @@ class ResolvedNode(Record):
     @property
     def ga(self) -> tuple[str, str]:
         return self.gav.ga
+
+    @property
+    def depth(self) -> int:
+        """1 for a direct dependency: ``parent_path`` holds the root and each ancestor."""
+        return len(self.parent_path)
 
     @property
     def artifact(self) -> tuple[Gav, str, str | None]:
@@ -201,7 +204,6 @@ def resolve(pom: EffectivePom, repo, include_test: bool = True,
     def make_node(decl: DependencyDecl, parent: ResolvedNode | None) -> ResolvedNode | None:
         if parent is None:
             effective_scope = decl.scope
-            depth = 1
             path = (root_gav,)
             inherited_exclusions: frozenset[tuple[str, str]] = frozenset()
             managed = None
@@ -209,7 +211,6 @@ def resolve(pom: EffectivePom, repo, include_test: bool = True,
             effective_scope = derive_scope(parent.effective_scope, decl.scope)
             if effective_scope is None:
                 return None
-            depth = parent.depth + 1
             path = parent.parent_path + (parent.gav,)
             inherited_exclusions = parent.exclusions
             managed = root_dm.get(decl.ga)
@@ -224,7 +225,6 @@ def resolve(pom: EffectivePom, repo, include_test: bool = True,
         node = ResolvedNode(
             gav=gav,
             effective_scope=effective_scope,
-            depth=depth,
             parent_path=path,
             selected=decl.ga not in winners,
             packaging=decl.packaging,

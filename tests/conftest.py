@@ -164,7 +164,6 @@ class Fixture:
         return MavenRepository(RepositoryConfig(
             remote_base_urls=() if offline else (self.repo.url,),
             local_repo_root=self.cache_root,
-            offline=offline,
         ))
 
     def cached_artifact(self, group: str, artifact: str, version: str) -> Path:

@@ -359,6 +359,65 @@ class TestSkipModule:
         assert [lock for lock in locks if not lock.exists()] == []
 
 
+@pytest.mark.parametrize("command", [
+    ("generate",),
+    ("validate",),
+    ("validate", "--offline"),
+    ("freeze",),
+    ("ci-check", "--changed-file", "pom.xml"),
+    ("ci-check", "--changed-file", "src/A.java"),
+], ids=" ".join)
+def test_each_command_loads_the_project_once(tmp_path, monkeypatch, command):
+    import sys
+
+    import mvnlock.project
+
+    fixture = build_aggregator(tmp_path)
+    assert run(fixture, "generate") == 0
+    original, roots = mvnlock.project.load_project, []
+
+    def counted(root, *args, **kwargs):
+        roots.append(root)
+        return original(root, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "mvnlock" and getattr(module, "load_project", None) is original:
+            monkeypatch.setattr(module, "load_project", counted)
+    assert run(fixture, *command) == 0
+    assert roots == [fixture.project_root]
+
+
+class TestGenerationFlags:
+    """Validate, freeze and a validating ci-check refuse a flag the lockfile contradicts."""
+
+    @pytest.mark.parametrize("command", [
+        ("validate",), ("freeze",), ("ci-check", "--changed-file", "src/A.java")],
+        ids=lambda command: command[0])
+    @pytest.mark.parametrize("flag, recorded", [
+        (("--checksum-mode", "remote"), "checksum_mode 'local'"),
+        (("--checksum-algorithm", "sha512"), "checksum_algorithm 'sha256'"),
+        (("--no-include-test",), "include_test True"),
+        (("--include-plugins",), "include_plugins False"),
+        (("--include-environment",), "include_environment False"),
+    ], ids=["checksum-mode", "checksum-algorithm", "no-include-test", "include-plugins",
+            "include-environment"])
+    def test_flag_contradicting_the_lockfile_is_refused(self, single_fixture, capsys,
+                                                         command, flag, recorded):
+        project = single_fixture.project_root
+        assert run(single_fixture, "generate") == 0
+        capsys.readouterr()
+        assert run(single_fixture, *command, *flag) == 2
+        advice = ("; to verify in mode 'remote', pass --override-checksum-mode remote "
+                  "to validate" if flag[0] == "--checksum-mode" else "")
+        assert capsys.readouterr() == ("", (
+            f"mvnlock: error: module .: {' '.join(flag)} contradicts "
+            f"{project / 'lockfile.json'}, which records {recorded}{advice}\n"))
+        assert not (project / "pom.lockfile.xml").exists()
+        # the same flag agrees with a lockfile generated with it
+        assert run(single_fixture, "generate", *flag) == 0
+        assert run(single_fixture, *command, *flag) == 0
+
+
 def build_shapes(tmp_path):
     """A module with a direct ``<type>pom</type>`` dependency and a ``tests``-classified jar.
 

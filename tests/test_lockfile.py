@@ -34,6 +34,7 @@ from mvnlock.pom import Gav
 from mvnlock.project import load_project
 from mvnlock.repo import ChecksumRecord, MavenRepository, RepositoryConfig
 from mvnlock.resolver import resolve
+from mvnlock.session import Session
 
 GOLDEN = Path(__file__).parent / "data" / "golden_lockfile.json"
 COMPILER = ("org.apache.maven.plugins", "maven-compiler-plugin", "3.11.0")
@@ -66,6 +67,12 @@ class JitterRepo:
 
             return jittered
         return attr
+
+
+def lock_project(root, config, repo, **kwargs):
+    """``generate_all`` over the project at ``root``, loaded through the session it locks with."""
+    session = Session(repo)
+    return generate_all(load_project(root, session), config, session, **kwargs)
 
 
 def module_effective(fixture, rel="."):
@@ -206,7 +213,7 @@ class TestGeneration:
 class TestGenerateAll:
     def test_single_module(self, single_fixture):
         repo = single_fixture.repository()
-        results = generate_all(single_fixture.project_root, LockfileConfig(), repo)
+        results = lock_project(single_fixture.project_root, LockfileConfig(), repo)
         assert [rel for rel, _ in results] == ["."]
 
     def test_aggregator_three_lockfiles(self, tmp_path):
@@ -214,7 +221,7 @@ class TestGenerateAll:
 
         fixture = build_aggregator(tmp_path)
         repo = fixture.repository()
-        results = generate_all(fixture.project_root, LockfileConfig(), repo)
+        results = lock_project(fixture.project_root, LockfileConfig(), repo)
         assert [rel for rel, _ in results] == [".", "core", "web"]
         root_lock = results[0][1]
         assert root_lock.dependencies == []  # aggregator-only root
@@ -233,14 +240,14 @@ class TestGenerateAll:
         repo = MavenRepository(RepositoryConfig(
             remote_base_urls=(repo_dir.url,), local_repo_root=tmp_path / "cache"))
         with pytest.raises(NotFoundError, match="ghost"):
-            generate_all(project, LockfileConfig(), repo)
+            lock_project(project, LockfileConfig(), repo)
 
     def test_workers_do_not_change_results_or_order(self, tmp_path):
         from conftest import build_aggregator
 
         fixture = build_aggregator(tmp_path)
         runs = [[(rel, serialize(lock)) for rel, lock in
-                 generate_all(fixture.project_root, LockfileConfig(), fixture.repository(),
+                 lock_project(fixture.project_root, LockfileConfig(), fixture.repository(),
                               workers=workers)]
                 for workers in (1, 4)]
         assert [rel for rel, _ in runs[0]] == [".", "core", "web"]
@@ -253,7 +260,7 @@ class TestGenerateAll:
         fixture = build_aggregator(tmp_path)
         break_core(fixture)
         with pytest.raises(GenerationError, match="^module core: ") as info:
-            generate_all(fixture.project_root, LockfileConfig(), fixture.repository(),
+            lock_project(fixture.project_root, LockfileConfig(), fixture.repository(),
                          workers=workers)
         assert isinstance(info.value.__cause__, ResolutionError)
 
@@ -278,7 +285,7 @@ class TestGenerateAll:
         fixture = build_aggregator(tmp_path)
         repo = CountingRepo(fixture.repository())
         before = threading.active_count()
-        generate_all(fixture.project_root, LockfileConfig(), repo, workers=workers)
+        lock_project(fixture.project_root, LockfileConfig(), repo, workers=workers)
         assert len(repo.counts) == 5  # each distinct artifact hashed once
         assert max(repo.counts) <= before + workers
 
@@ -294,7 +301,7 @@ class TestGenerateAll:
         with pytest.raises(ResolutionError):
             resolve(web.effective, repo)
         with pytest.raises(GenerationError) as info:
-            generate_all(fixture.project_root, LockfileConfig(checksum_mode="remote"), repo,
+            lock_project(fixture.project_root, LockfileConfig(checksum_mode="remote"), repo,
                          workers=workers)
         assert str(info.value) == \
             "module core: no published checksum for: com.google.code.gson:gson:2.13.2"
@@ -302,9 +309,9 @@ class TestGenerateAll:
 
     def test_warm_cache_resolves_on_the_main_thread(self, tmp_path, monkeypatch):
         fixture = build_aggregator(tmp_path)
-        generate_all(fixture.project_root, LockfileConfig(), fixture.repository())
+        lock_project(fixture.project_root, LockfileConfig(), fixture.repository())
         on_main = record_threads(monkeypatch)
-        generate_all(fixture.project_root, LockfileConfig(), fixture.repository(), workers=4)
+        lock_project(fixture.project_root, LockfileConfig(), fixture.repository(), workers=4)
         assert on_main == {"fetch_pom": {True}, "list_versions": {True}, "parse_pom": {True}}
 
     def test_cold_cache_fills_manifests_on_the_pool(self, tmp_path, monkeypatch):
@@ -314,7 +321,7 @@ class TestGenerateAll:
         for workers in (4, 1):
             repo = MavenRepository(RepositoryConfig(remote_base_urls=(fixture.repo.url,),
                                                     local_repo_root=tmp_path / f"cache{workers}"))
-            runs[workers] = [(rel, serialize(lock)) for rel, lock in generate_all(
+            runs[workers] = [(rel, serialize(lock)) for rel, lock in lock_project(
                 fixture.project_root, LockfileConfig(), repo, workers=workers)]
         assert False in on_main["fetch_pom"]
         assert on_main["list_versions"] == {True}
@@ -519,9 +526,9 @@ class TestDeterminism:
     def test_regeneration_byte_identical(self, fixture):
         repo = fixture.repository()
         first = [serialize(lock) for _, lock in
-                 generate_all(fixture.project_root, LockfileConfig(), repo)]
+                 lock_project(fixture.project_root, LockfileConfig(), repo)]
         second = [serialize(lock) for _, lock in
-                  generate_all(fixture.project_root, LockfileConfig(), repo)]
+                  lock_project(fixture.project_root, LockfileConfig(), repo)]
         assert first == second
 
     def test_adversarial_scheduler(self, single_fixture):
@@ -537,7 +544,7 @@ class TestDeterminism:
     def test_adversarial_scheduler_all_modules(self, fixture, mode):
         config = LockfileConfig(checksum_mode=mode)
         payloads = {
-            tuple((rel, serialize(lock)) for rel, lock in generate_all(
+            tuple((rel, serialize(lock)) for rel, lock in lock_project(
                 fixture.project_root, config, JitterRepo(fixture.repository(), seed),
                 workers=workers))
             for seed in range(3) for workers in (1, 4)

@@ -76,14 +76,12 @@ class TestFetch:
         text = client.fetch_pom(GSON)
         assert "gson" in text
         offline = MavenRepository(RepositoryConfig(
-            remote_base_urls=(), local_repo_root=tmp_path / "cache", offline=True,
-        ))
+            remote_base_urls=(), local_repo_root=tmp_path / "cache"))
         assert offline.fetch_pom(GSON) == text
 
     def test_offline_uncached_is_error(self, tmp_path):
         client = MavenRepository(RepositoryConfig(
-            remote_base_urls=(), local_repo_root=tmp_path / "cache", offline=True,
-        ))
+            remote_base_urls=(), local_repo_root=tmp_path / "cache"))
         with pytest.raises(OfflineError):
             client.fetch_pom(GSON)
 
@@ -158,8 +156,7 @@ class TestChecksums:
 
     def test_remote_requires_online(self, tmp_path):
         client = MavenRepository(RepositoryConfig(
-            remote_base_urls=(), local_repo_root=tmp_path / "cache", offline=True,
-        ))
+            remote_base_urls=(), local_repo_root=tmp_path / "cache"))
         with pytest.raises(OfflineError):
             client.checksum_remote(GSON)
 
@@ -227,8 +224,7 @@ class TestVersionListing:
         assert replaced == [str(tmp_path / "cache" / rel)]
         assert (tmp_path / "cache" / rel).read_bytes() == (builder.root / rel).read_bytes()
         offline = MavenRepository(RepositoryConfig(
-            remote_base_urls=(), local_repo_root=tmp_path / "cache", offline=True,
-        ))
+            remote_base_urls=(), local_repo_root=tmp_path / "cache"))
         assert offline.list_versions("org.acme", "text") == ["1.0", "1.5", "1.7", "2.0"]
 
 
@@ -335,8 +331,7 @@ class TestCacheCoherence:
         remote = builder.artifact_path("com.google.code.gson", "gson", "2.13.2").read_bytes()
         assert fetched == remote
         offline = MavenRepository(RepositoryConfig(
-            remote_base_urls=(), local_repo_root=tmp_path / "cache", offline=True,
-        ))
+            remote_base_urls=(), local_repo_root=tmp_path / "cache"))
         assert offline.fetch_artifact(GSON).read_bytes() == remote
 
     def test_checksum_local_tracks_byte_flips(self, repo):

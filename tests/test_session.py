@@ -178,6 +178,16 @@ def test_each_key_read_once_per_command(tmp_path, monkeypatch, command):
     assert not repeated
 
 
+@pytest.mark.parametrize("command", [("generate",), ("ci-check", "--changed-file", "pom.xml")])
+def test_bad_skip_module_is_refused_before_any_read(tmp_path, monkeypatch, capsys, command):
+    remote, project = build_shared(tmp_path)
+    counts = count_repository_calls(monkeypatch)
+    assert run_cli(remote, project, tmp_path / "cache", *command, "--skip-module", "nosuch") == 2
+    assert capsys.readouterr() == ("", "mvnlock: error: --skip-module names no module: "
+                                       "nosuch\n")
+    assert counts == Counter()
+
+
 @pytest.mark.parametrize("config", [
     LockfileConfig(),
     LockfileConfig(checksum_mode="remote", checksum_algorithm="sha512"),
@@ -190,9 +200,11 @@ def test_session_lockfiles_match_bare_repository(tmp_path, config):
             module.rel_path: serialize(generate_lockfile(module.effective, config, repo))
             for module in load_project(fixture.project_root, repo)
         }
+        session = Session(fixture.repository())
         shared = {
             rel: serialize(lock)
-            for rel, lock in generate_all(fixture.project_root, config, fixture.repository())
+            for rel, lock in generate_all(load_project(fixture.project_root, session), config,
+                                          session)
         }
         assert shared == bare, name
 
