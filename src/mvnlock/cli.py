@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import MvnlockError, OfflineError
+from .errors import MvnlockError, OfflineError, in_module
 from .lockfile import (
     DEFAULT_LOCKFILE_NAME,
     EnvironmentMetadata,
@@ -30,7 +30,7 @@ from .lockfile import (
     probe_environment,
     serialize,
 )
-from .project import ProjectModule, load_project, read_ahead
+from .project import ProjectModule, load_project
 from .repo import MavenRepository, RepositoryConfig, write_files
 from .session import Session
 
@@ -197,46 +197,32 @@ def _lockfile(args, module: ProjectModule, skipped: set[Path]) -> Lockfile | Non
 
 
 def cmd_validate(args) -> int:
-    """Validate every module in the passes of ``generate_all``.
+    """Read and check every module's lockfile, then validate them all in one call.
 
-    Match each module against its lockfile on this thread, read each distinct
-    digest once on the pool (``read_ahead``), then finish each report on this
-    thread. The first failing module in module order is the one reported.
+    So a missing, malformed or contradicted lockfile, in any module, is
+    refused before anything is resolved or fetched.
     """
-    from .integrity import ValidationReport, current_digest, match, validate
+    from .integrity import validate
     override = getattr(args, "override_checksum_mode", None)
-    repo, modules, skipped = _project(args)
-
-    def prepare(module: ProjectModule, pool):
-        lock = _lockfile(args, module, skipped)
-        if lock is None:
-            return None, ()
-        if (args.offline and (override or lock.config.checksum_mode) == "remote"
-                and (lock.dependencies or lock.plugins)):
-            raise OfflineError(
-                f"{module.directory / args.lockfile_name} records checksum mode 'remote', "
-                "which needs remote access; to check it offline against the local "
-                "cache, pass --override-checksum-mode local")
-        matched, reads = match(module.effective, lock, repo, override, pool)
-        return (lock, matched), reads
-
-    prepared = read_ahead(modules, prepare, lambda read: current_digest(repo, *read),
-                          args.workers)
+    session, modules, skipped = _project(args)
+    lockfiles = []
+    for module in modules:
+        with in_module(module.rel_path):
+            lock = _lockfile(args, module, skipped)
+            if (lock is not None and args.offline
+                    and (override or lock.config.checksum_mode) == "remote"
+                    and (lock.dependencies or lock.plugins)):
+                raise OfflineError(
+                    f"{module.directory / args.lockfile_name} records checksum mode "
+                    "'remote', which needs remote access; to check it offline against "
+                    "the local cache, pass --override-checksum-mode local to validate")
+        lockfiles.append(lock)
+    # only a recorded environment block is compared, so only then is one probed
+    recorded = any(lock is not None and lock.environment is not None for lock in lockfiles)
+    reports = validate(modules, lockfiles, session, _environment(args) if recorded else None,
+                       override, args.workers)
     lines, docs = [], []
-    for module, outcome in zip(modules, prepared):
-        try:
-            if isinstance(outcome, Exception):
-                raise outcome
-            if outcome is None:
-                report = ValidationReport(module=module.gav,
-                                          notes=["validation skipped by configuration"])
-            else:
-                lock, matched = outcome
-                # only a recorded environment block is compared, so only then is one probed
-                environment = _environment(args) if lock.environment is not None else None
-                report = validate(module.effective, lock, repo, environment, matched=matched)
-        except MvnlockError as exc:
-            raise MvnlockError(f"module {module.rel_path}: {exc}") from exc
+    for module, report in zip(modules, reports):
         status = "ok" if report.passed else "FAILED"
         lines.append(f"module {module.rel_path} ({module.gav}): {status}")
         for note in report.notes:
@@ -258,15 +244,13 @@ def cmd_freeze(args) -> int:
     _, modules, skipped = _project(args)
     lines, docs, files = [], [], []
     for module in modules:
-        try:
+        with in_module(module.rel_path):
             lock = _lockfile(args, module, skipped)
             if lock is None:
                 lines.append(f"skipped {module.rel_path}")
                 continue
             frozen = freeze(module.effective, lock)
             payload = emit_frozen_xml(frozen).encode("utf-8")
-        except MvnlockError as exc:
-            raise MvnlockError(f"module {module.rel_path}: {exc}") from exc
         target = module.directory / FROZEN_POM_NAME
         files.append((target, payload))
         pinned = len(frozen.managed_pins)

@@ -2,9 +2,20 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 
 class MvnlockError(Exception):
     """Base class for all toolkit errors."""
+
+
+@contextmanager
+def in_module(rel_path: str, error: type[MvnlockError] = MvnlockError):
+    """Raise a failure inside the block as ``error("module <rel_path>: ...")``."""
+    try:
+        yield
+    except MvnlockError as exc:
+        raise error(f"module {rel_path}: {exc}") from exc
 
 
 # --- manifest parsing / effective model ---

@@ -11,6 +11,7 @@ are reported as warnings, never failures.
 
 from __future__ import annotations
 
+from .errors import in_module
 from .lockfile import (
     _ENVIRONMENT,
     ERROR,
@@ -23,9 +24,11 @@ from .lockfile import (
     probe_environment,
 )
 from .pom import EffectivePom, Gav
+from .project import ProjectModule, read_ahead
 from .records import Record
 from .repo import ChecksumRecord, MavenRepository
 from .resolver import ResolvedTree, resolve
+from .session import session_of
 
 _FINDING_KEYS = ("kind", "groupId", "artifactId", "expected", "actual")  # a Finding's, as JSON
 
@@ -127,38 +130,47 @@ def check_environment(expected: EnvironmentMetadata | None,
             if (want := getattr(expected, key.attr)) != (have := getattr(actual, key.attr))]
 
 
-def match(module_pom: EffectivePom, lockfile: Lockfile, repo: MavenRepository,
-          override_mode: str | None = None, pool=None) -> tuple[tuple, list[Read]]:
-    """Pass 1 of validate: refuse other coordinates, as freeze does, then resolve and compare.
+def validate(modules: list[ProjectModule], lockfiles: list[Lockfile | None],
+             repo: MavenRepository, current_environment: EnvironmentMetadata | None = None,
+             override_mode: str | None = None, workers: int = 4) -> list[ValidationReport]:
+    """Check each module against its lockfile (None skips it), in ``generate_all``'s passes.
 
-    The module is resolved with the lockfile's recorded settings, handing
-    ``pool`` the manifests the cache lacks. Returns ``(tree, findings,
-    checks)``, which ``validate`` takes as ``matched``, and their digest reads.
+    Every lockfile recorded for other coordinates is refused before anything
+    is resolved. Pass 1 resolves each module with its recorded config and
+    runs ``compare``; pass 2 reads each distinct digest once on a pool of
+    ``workers`` threads (``project.read_ahead``); pass 3 verifies them and a
+    recorded environment (``current_environment``, probed when None). The
+    first failing module, in module order, is raised as ``module <path>: ...``.
     """
-    lockfile.check_module(module_pom.coordinates)
-    tree = resolve(module_pom, repo, include_test=lockfile.config.include_test, pool=pool)
-    findings, checks = compare(module_pom, lockfile, tree, override_mode)
-    return (tree, findings, checks), [read for *_, reads in checks for read in reads]
+    session = session_of(repo)
+    pairs = list(zip(modules, lockfiles, strict=True))
+    for module, lock in pairs:
+        with in_module(module.rel_path):
+            if lock is not None:
+                lock.check_module(module.gav)
 
+    def prepare(pair, pool) -> tuple[tuple | None, list[Read]]:
+        module, lock = pair
+        if lock is None:
+            return None, []
+        tree = resolve(module.effective, session, include_test=lock.config.include_test,
+                       pool=pool)
+        findings, checks = compare(module.effective, lock, tree, override_mode)
+        return (tree, findings, checks), [read for *_, reads in checks for read in reads]
 
-def validate(module_pom: EffectivePom, lockfile: Lockfile, repo: MavenRepository,
-             current_environment: EnvironmentMetadata | None = None,
-             override_mode: str | None = None,
-             matched: tuple | None = None) -> ValidationReport:
-    """Re-resolve with the lockfile's recorded settings and compare everything.
+    def report(module: ProjectModule, lock: Lockfile | None, outcome) -> ValidationReport:
+        with in_module(module.rel_path):
+            if isinstance(outcome, Exception):
+                raise outcome
+            if lock is None:
+                return ValidationReport(module.gav, notes=["validation skipped by configuration"])
+            tree, findings, checks = outcome
+            findings = findings + verify_checksums(checks, session)
+            if lock.environment is not None:
+                findings += check_environment(lock.environment,
+                                              current_environment or probe_environment())
+            findings.sort(key=Finding.sort_key)
+            return ValidationReport(module.gav, findings, notes=list(tree.warnings))
 
-    The lockfile's recorded config wins over ambient settings; only the
-    explicit ``override_mode`` changes how checksums are verified. ``matched``
-    is ``match``'s result for this module and mode, or None to run ``match``
-    here. Each check's digests are then read, and a recorded environment is
-    compared. Each warning of the resolution is a note.
-    """
-    if matched is None:
-        matched = match(module_pom, lockfile, repo, override_mode)[0]
-    tree, findings, checks = matched
-    findings = findings + verify_checksums(checks, repo)
-    if lockfile.environment is not None:
-        findings += check_environment(lockfile.environment,
-                                      current_environment or probe_environment())
-    findings.sort(key=Finding.sort_key)
-    return ValidationReport(lockfile.module, findings, notes=list(tree.warnings))
+    outcomes = read_ahead(pairs, prepare, lambda read: current_digest(session, *read), workers)
+    return [report(module, lock, outcome) for (module, lock), outcome in zip(pairs, outcomes)]

@@ -20,6 +20,7 @@ from .errors import (
     ModuleMismatchError,
     MvnlockError,
     UnsupportedLockfileVersionError,
+    in_module,
 )
 from .pom import EffectivePom, Gav
 from .project import ProjectModule, read_ahead
@@ -314,13 +315,11 @@ def generate_all(modules: list[ProjectModule], config: LockfileConfig, repo: Mav
     trees = _resolve_and_hash([m.effective for m in modules], config, session, workers)
     results = []
     for module, tree in zip(modules, trees):
-        try:
+        with in_module(module.rel_path, GenerationError):
             if isinstance(tree, Exception):
                 raise tree
             lock = generate_lockfile(module.effective, config, session,
                                      environment=environment, tree=tree)
-        except MvnlockError as exc:
-            raise GenerationError(f"module {module.rel_path}: {exc}") from exc
         results.append((module.rel_path, lock))
     return results
 

@@ -264,13 +264,6 @@ class MavenRepository:
             raise NotFoundError(str(exc), gav=gav) from exc
         return path.read_text(encoding="utf-8")
 
-    def fetch_artifact(self, gav: Gav, packaging: str = "jar",
-                       classifier: str | None = None) -> Path:
-        try:
-            return self._ensure_cached(artifact_rel_path(gav, packaging, classifier))
-        except NotFoundError as exc:
-            raise NotFoundError(str(exc), gav=gav) from exc
-
     def source_of(self, gav: Gav, packaging: str = "jar",
                   classifier: str | None = None) -> str:
         """Base URL the cached artifact came from, or 'local' if unknown."""

@@ -19,7 +19,7 @@ from conftest import (
     pom_xml,
 )
 from mvnlock.cli import main
-from mvnlock.errors import ModuleMismatchError
+from mvnlock.errors import ModuleMismatchError, MvnlockError
 from mvnlock.integrity import validate
 from mvnlock.lockfile import parse_lockfile
 from mvnlock.project import load_project
@@ -510,13 +510,14 @@ class TestModuleMismatch:
         shutil.rmtree(single_fixture.cache_root)
         repo = single_fixture.repository()
         (module,) = load_project(single_fixture.project_root, repo)
-        with pytest.raises(ModuleMismatchError) as raised:
-            validate(module.effective, parse_lockfile(lockfile.read_bytes()), repo)
+        with pytest.raises(MvnlockError) as raised:
+            validate([module], [parse_lockfile(lockfile.read_bytes())], repo)
         assert str(raised.value) == (
-            "lockfile is for com.acme:app:9.9.9, manifest is com.acme:app:1.0.0")
+            "module .: lockfile is for com.acme:app:9.9.9, manifest is com.acme:app:1.0.0")
+        assert isinstance(raised.value.__cause__, ModuleMismatchError)
         capsys.readouterr()
         assert run(single_fixture, "validate") == 2
-        assert capsys.readouterr() == ("", f"mvnlock: error: module .: {raised.value}\n")
+        assert capsys.readouterr() == ("", f"mvnlock: error: {raised.value}\n")
         assert not single_fixture.cache_root.exists()
 
 
@@ -697,7 +698,7 @@ def test_every_written_file_gets_the_mode_the_umask_leaves(tmp_path):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_library_validate_reports_what_the_cli_reports(fixture, capsys, seed):
-    """Library ``validate`` resolving on its own agrees with the CLI's pooled passes."""
+    """Library ``validate``, one module per call, agrees with the CLI's one call over all."""
     assert run(fixture, "generate") == 0
     rng = random.Random(seed)
     fixture.mutate(rng)
@@ -706,7 +707,7 @@ def test_library_validate_reports_what_the_cli_reports(fixture, capsys, seed):
     expected = []
     for module in load_project(fixture.project_root, repo):
         lock = parse_lockfile((module.directory / "lockfile.json").read_bytes())
-        expected.append({**validate(module.effective, lock, repo).to_document(),
+        expected.append({**validate([module], [lock], repo)[0].to_document(),
                          "modulePath": module.rel_path})
     assert any(report["findings"] for report in expected)
     for workers in ("1", "4"):
@@ -739,6 +740,21 @@ class TestOfflineAndWorkers:
         # the advice works once the jars are cached, which remote mode does not do
         assert run(single_fixture, "generate", "--lockfile-name", "fill.json") == 0
         assert main([*offline, "--override-checksum-mode", "local"]) == 0
+
+    def test_offline_ci_check_of_remote_mode_names_validate(self, single_fixture, capsys):
+        # ci-check takes no --override-checksum-mode, so the advice says where it goes
+        assert run(single_fixture, "generate", "--checksum-mode", "remote") == 0
+        offline = ["--project", str(single_fixture.project_root),
+                   "--local-repo", str(single_fixture.cache_root), "--offline"]
+        capsys.readouterr()
+        assert main(["ci-check", *offline, "--changed-file", "src/A.java"]) == 2
+        assert capsys.readouterr() == ("", (
+            f"mvnlock: error: module .: {single_fixture.project_root / 'lockfile.json'} "
+            "records checksum mode 'remote', which needs remote access; to check it "
+            "offline against the local cache, pass --override-checksum-mode local to "
+            "validate\n"))
+        assert run(single_fixture, "generate", "--lockfile-name", "fill.json") == 0
+        assert main(["validate", *offline, "--override-checksum-mode", "local"]) == 0
 
     def test_parallel_modules_ordered_and_identical(self, tmp_path, capsys):
         fixture = build_aggregator(tmp_path)

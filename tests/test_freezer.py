@@ -1,4 +1,5 @@
 import random
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -326,3 +327,53 @@ class TestFreezeInterpolation:
         frozen = effective_pom(parse_pom((project / "pom.lockfile.xml").read_text()))
         assert [d.ga for d in frozen.dependencies] == [("org.x", "lib")]
         assert resolved_set(frozen, fixture.repository()) == locked_set(lock)
+
+
+class TestFreezeInheritedDirect:
+    @pytest.mark.parametrize("own", [True, False], ids=["own-dependencies", "none-of-its-own"])
+    def test_namespaced_child_declares_inherited_dependency_at_its_locked_version(self, tmp_path,
+                                                                                 own):
+        # a direct dependency the child sees only through its parent, in a namespaced POM;
+        # a child that declares none of its own gets a <dependencies> block for it
+        ns = "http://maven.apache.org/POM/4.0.0"
+        repo = RepoBuilder(tmp_path / "remote")
+        repo.add("org.n", "noise", "1.0")
+        for version in ("1.0", "1.5"):
+            repo.add("org.n", "ranged", version, deps=(dep_xml("org.n", "noise", "1.0"),))
+        repo.add("org.n", "own", "1.0")
+        project = tmp_path / "project"
+        (project / "child").mkdir(parents=True)
+        (project / "pom.xml").write_text(pom_xml(
+            "com.acme", "parent", "1.0", packaging="pom", modules=("child",),
+            deps=(dep_xml("org.n", "ranged", "[1.0,2.0)", scope="runtime",
+                          exclusions=(("org.n", "noise"),)),),
+        ), encoding="utf-8")
+        (project / "child" / "pom.xml").write_text(pom_xml(
+            None, "child", None, parent=("com.acme", "parent", "1.0"),
+            deps=(dep_xml("org.n", "own", "1.0"),) if own else (),
+        ).replace("<project>", f'<project xmlns="{ns}">'), encoding="utf-8")
+        fixture = Fixture("inherited-direct", project, repo, tmp_path / "cache")
+        common = ["--project", str(project), "--repo-url", repo.url,
+                  "--local-repo", str(fixture.cache_root)]
+        assert main(["generate", *common]) == 0
+        assert main(["freeze", *common]) == 0
+        lock = parse_lockfile((project / "child" / "lockfile.json").read_bytes())
+        owned = {(("org.n", "own"), "1.0", "compile")} if own else set()
+        assert locked_set(lock) == owned | {(("org.n", "ranged"), "1.5", "runtime")}
+
+        text = (project / "child" / "pom.lockfile.xml").read_text(encoding="utf-8")
+        assert f'<project xmlns="{ns}">' in text
+        assert {el.tag.split("}")[0] for el in ET.fromstring(text).iter()} == {"{" + ns}
+        declared = {d.ga: d for d in parse_pom(text).dependencies}
+        assert sorted(declared) == [("org.n", "own")] * own + [("org.n", "ranged")]
+        ranged = declared[("org.n", "ranged")]
+        assert ranged.version_spec.pin == "1.5"
+        assert (ranged.scope, ranged.scope_explicit) == ("runtime", True)
+        assert ranged.exclusions == (("org.n", "noise"),)
+
+        repo.add("org.n", "ranged", "1.9", deps=(dep_xml("org.n", "noise", "1.0"),))
+        parent = parse_pom((project / "pom.xml").read_text(encoding="utf-8"))
+        frozen = effective_pom(parse_pom(text), parent_loader=lambda gav: parent)
+        assert resolved_set(frozen, fixture.repository()) == locked_set(lock)
+        child = load_project(project, fixture.repository())[1]
+        assert resolved_set(child.effective, fixture.repository()) != locked_set(lock)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import dep_xml, flip_byte, pom_xml
-from mvnlock.errors import ResolutionError
+from mvnlock.errors import MvnlockError, ResolutionError
 from mvnlock.integrity import (
     Finding,
     ValidationReport,
@@ -37,7 +37,7 @@ class TestRoundTrip:
     def test_fresh_lockfile_validates_clean(self, fixture):
         for rel in fixture.module_paths:
             module, lock, repo = generated(fixture, rel)
-            report = validate(module.effective, lock, repo)
+            report = validate([module], [lock], repo)[0]
             assert report.passed and report.findings == []
 
 
@@ -47,7 +47,7 @@ class TestTamperDetection:
         target = single_fixture.cached_artifact("com.google.code.gson", "gson", "2.13.2")
         original = flip_byte(target, offset=11)
         try:
-            report = validate(module.effective, lock, repo)
+            report = validate([module], [lock], repo)[0]
         finally:
             target.write_bytes(original)
         assert not report.passed
@@ -80,7 +80,7 @@ class TestResolutionDrift:
         fixture.mutate(random.Random(3))
         drift_kinds = set()
         for module, lock, repo in per_module:
-            report = validate(module.effective, lock, repo)
+            report = validate([module], [lock], repo)[0]
             drift_kinds |= {f.kind for f in report.findings}
         assert drift_kinds & {"version-mismatch", "missing-dependency", "extra-dependency"}
 
@@ -89,14 +89,14 @@ class TestResolutionDrift:
         phantom = copy.deepcopy(lock.dependencies[0])
         phantom.group_id, phantom.artifact_id = "org.gone", "phantom"
         lock.dependencies.append(phantom)
-        report = validate(module.effective, lock, repo)
+        report = validate([module], [lock], repo)[0]
         kinds = {(f.kind, f.artifact_id) for f in report.findings}
         assert ("missing-dependency", "phantom") in kinds
 
     def test_extra_dependency_reported(self, single_fixture):
         module, lock, repo = generated(single_fixture)
         lock.dependencies = [e for e in lock.dependencies if e.artifact_id != "gson"]
-        report = validate(module.effective, lock, repo)
+        report = validate([module], [lock], repo)[0]
         kinds = {(f.kind, f.artifact_id) for f in report.findings}
         assert ("extra-dependency", "gson") in kinds
         assert not report.passed
@@ -107,8 +107,10 @@ class TestResolutionDrift:
         module, lock, repo = generated(single_fixture)
         shutil.rmtree(single_fixture.repo.root)
         shutil.rmtree(single_fixture.cache_root)
-        with pytest.raises(ResolutionError):
-            validate(module.effective, lock, repo)
+        with pytest.raises(MvnlockError) as raised:
+            validate([module], [lock], repo)
+        assert str(raised.value).startswith("module .: ")
+        assert isinstance(raised.value.__cause__, ResolutionError)
 
 
 class TestEnvironment:
@@ -136,7 +138,7 @@ class TestEnvironment:
                                       lock.environment.tool_version)
         lock.environment = EnvironmentMetadata(
             "Linux", lock.environment.maven_version, "17", lock.environment.tool_version)
-        report = validate(module.effective, lock, repo, current_environment=current)
+        report = validate([module], [lock], repo, current_environment=current)[0]
         assert report.passed
         drift = [f for f in report.findings if f.kind == "environment-drift"]
         assert len(drift) == 1 and drift[0].severity == "warning"
@@ -152,7 +154,7 @@ class TestScopeDrift:
         ), encoding="utf-8")
         (module,) = load_project(single_fixture.project_root, repo)
         flip_byte(single_fixture.cached_artifact("org.acme", "util", "1.0"), 3)
-        report = validate(module.effective, lock, repo)
+        report = validate([module], [lock], repo)[0]
         locked = {e.artifact_id: e for e in lock.flattened()}
         assert not report.passed
         assert [(f.kind, f.artifact_id, f.expected, f.actual) for f in report.findings] == [
@@ -168,8 +170,8 @@ class TestReportShape:
     def test_findings_sorted_and_deterministic(self, single_fixture):
         module, lock, repo = generated(single_fixture)
         lock.dependencies = []  # everything becomes an extra-dependency
-        one = validate(module.effective, lock, repo)
-        two = validate(module.effective, lock, repo)
+        one = validate([module], [lock], repo)[0]
+        two = validate([module], [lock], repo)[0]
         assert json.dumps(one.to_document()) == json.dumps(two.to_document())
         keys = [f.sort_key() for f in one.findings]
         assert keys == sorted(keys)
@@ -203,11 +205,11 @@ class TestReportShape:
         module = load_project(project, repo)[0]
         lock = generate_lockfile(module.effective,
                                  LockfileConfig(include_plugins=True), repo)
-        assert validate(module.effective, lock, repo).passed
+        assert validate([module], [lock], repo)[0].passed
         cached = (tmp_path / "cache" / "org/apache/maven/plugins/maven-jar-plugin"
                   / "3.3.0" / "maven-jar-plugin-3.3.0.jar")
         flip_byte(cached, offset=3)
-        report = validate(module.effective, lock, repo)
+        report = validate([module], [lock], repo)[0]
         assert not report.passed
         assert any(f.kind == "checksum-mismatch" and f.artifact_id == "maven-jar-plugin"
                    for f in report.findings)

@@ -10,6 +10,9 @@ the call keeps it, in a ``Session`` cell. So ``submit`` is the pool's only
 public method, and ``Pool._serve`` is the only ``except`` clause in the
 package that drops what it caught: any other swallowed error would vanish
 instead of reaching the module that owns it.
+
+The read-ahead passes have two drivers, generate's and validate's, and the
+command line drives neither: it names no ``read_ahead`` or ``current_digest``.
 """
 
 import ast
@@ -140,3 +143,63 @@ def test_checker_reports_a_planted_swallow():
         "    fast = None\n"
     )
     assert swallows(source, "m.py") == ["m.py fill", "m.py Reader.read"]
+
+
+def _called(func: ast.expr) -> str | None:
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+def callers(source: str, module: str, name: str) -> list[str]:
+    """Each call of ``name`` in the source, by its module and outermost definition."""
+    found = []
+    for top in ast.parse(source).body:
+        where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        found += [f"{module}.{where}" for node in ast.walk(top)
+                  if isinstance(node, ast.Call) and _called(node.func) == name]
+    return found
+
+
+def names(source: str) -> set[str]:
+    """Every name the source binds, reads, imports or takes as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found |= {node.name, node.asname} - {None}
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+    return found
+
+
+def test_read_ahead_has_one_driver_each_for_generate_and_validate():
+    found = [hit for path in sorted(PACKAGE.glob("*.py"))
+             for hit in callers(path.read_text(encoding="utf-8"), path.stem, "read_ahead")]
+    assert found == ["integrity.validate", "lockfile._resolve_and_hash"]
+
+
+def test_the_command_line_drives_no_read_pass():
+    assert names((PACKAGE / "cli.py").read_text(encoding="utf-8")) & {
+        "read_ahead", "current_digest"} == set()
+
+
+def test_checkers_report_planted_calls_and_names():
+    source = (
+        "from .project import read_ahead as ahead\n"
+        "import mvnlock.project\n"
+        "def outer(modules):\n"
+        "    def inner():\n"
+        "        return read_ahead(modules)\n"
+        "    return inner\n"
+        "class Driver:\n"
+        "    def run(self):\n"
+        "        mvnlock.project.read_ahead([])\n"
+        "read_ahead([])\n"
+        "digest = mvnlock.integrity.current_digest\n"
+    )
+    assert callers(source, "m", "read_ahead") == ["m.outer", "m.Driver", "m.<module>"]
+    assert {"read_ahead", "ahead", "current_digest"} <= names(source)

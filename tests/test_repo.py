@@ -33,6 +33,12 @@ from mvnlock.repo import (
 GSON = Gav("com.google.code.gson", "gson", "2.13.2")
 
 
+def cached(client: MavenRepository, gav: Gav = GSON) -> Path:
+    """Fill the cache with ``gav``'s jar through ``checksum_local``; its cached path."""
+    client.checksum_local(gav)
+    return client.config.local_repo_root / artifact_rel_path(gav)
+
+
 @pytest.fixture
 def repo(tmp_path):
     builder = RepoBuilder(tmp_path / "remote")
@@ -92,7 +98,7 @@ class TestFetch:
 
     def test_source_recorded_on_fill(self, repo):
         builder, client = repo
-        client.fetch_artifact(GSON)
+        client.checksum_local(GSON)
         assert client.source_of(GSON) == builder.url
 
     def test_source_local_without_provenance(self, repo, tmp_path):
@@ -121,7 +127,7 @@ class TestChecksums:
     def test_single_byte_flip_changes_digest(self, repo):
         # expected digests computed with the external sha256sum utility
         _, client = repo
-        path = client.fetch_artifact(GSON)
+        path = cached(client)
 
         def external_digest():
             out = subprocess.run(["sha256sum", str(path)], capture_output=True,
@@ -235,8 +241,9 @@ class TestConcurrency:
         builder, client = repo
         expected = builder.artifact_path("com.google.code.gson", "gson", "2.13.2").read_bytes()
         with ThreadPoolExecutor(max_workers=8) as pool:
-            paths = list(pool.map(lambda _: client.fetch_artifact(GSON), range(16)))
-        assert all(p.read_bytes() == expected for p in paths)
+            records = list(pool.map(lambda _: client.checksum_local(GSON), range(16)))
+        assert {r.digest for r in records} == {hashlib.sha256(expected).hexdigest()}
+        assert cached(client).read_bytes() == expected
         assert client.source_of(GSON) == builder.url
 
 
@@ -253,7 +260,7 @@ class TestConcurrency:
                 seen.append(client.source_of(GSON))
 
         monkeypatch.setattr(os, "replace", replace_then_look)
-        client.fetch_artifact(GSON)
+        client.checksum_local(GSON)
         assert seen == [builder.url]
 
 
@@ -327,18 +334,18 @@ class TestWriteFiles:
 class TestCacheCoherence:
     def test_identical_bytes_after_fill(self, repo, tmp_path):
         builder, client = repo
-        fetched = client.fetch_artifact(GSON).read_bytes()
+        fetched = cached(client).read_bytes()
         remote = builder.artifact_path("com.google.code.gson", "gson", "2.13.2").read_bytes()
         assert fetched == remote
         offline = MavenRepository(RepositoryConfig(
             remote_base_urls=(), local_repo_root=tmp_path / "cache"))
-        assert offline.fetch_artifact(GSON).read_bytes() == remote
+        assert cached(offline).read_bytes() == remote
 
     def test_checksum_local_tracks_byte_flips(self, repo):
         import random
 
         _, client = repo
-        path = client.fetch_artifact(GSON)
+        path = cached(client)
         rng = random.Random(5)
         for _ in range(10):
             before = client.checksum_local(GSON).digest
@@ -378,7 +385,7 @@ class TestTransport:
             client = MavenRepository(RepositoryConfig(
                 remote_base_urls=(base,), local_repo_root=tmp_path / f"cache{n}",
             ))
-            assert client.fetch_artifact(GSON).read_bytes() == expected, base
+            assert cached(client).read_bytes() == expected, base
             assert client.source_of(GSON) == base
             assert client.checksum_remote(GSON).digest == hashlib.sha256(expected).hexdigest()
 
@@ -388,7 +395,7 @@ class TestTransport:
         client = MavenRepository(RepositoryConfig(
             remote_base_urls=(empty.url, builder.url), local_repo_root=tmp_path / "cache2",
         ))
-        client.fetch_artifact(GSON)
+        client.checksum_local(GSON)
         assert client.source_of(GSON) == builder.url
         assert client.checksum_remote_with_source(GSON)[1] == builder.url
 
@@ -400,11 +407,11 @@ class TestTransport:
             remote_base_urls=(shadow.url,), local_repo_root=tmp_path / "cache2",
         ))
         with pytest.raises(NotFoundError):
-            alone.fetch_artifact(GSON)
+            alone.checksum_local(GSON)
         client = MavenRepository(RepositoryConfig(
             remote_base_urls=(shadow.url, builder.url), local_repo_root=tmp_path / "cache3",
         ))
-        client.fetch_artifact(GSON)
+        client.checksum_local(GSON)
         assert client.source_of(GSON) == builder.url
 
     def test_read_error_is_transport_error_naming_url(self, single_fixture, monkeypatch,
@@ -420,7 +427,7 @@ class TestTransport:
         monkeypatch.setattr(repo_module, "open", failing_open, raising=False)
         url = single_fixture.repo.url + "/" + artifact_rel_path(GSON)
         with pytest.raises(TransportError, match=re.escape(url)):
-            single_fixture.repository().fetch_artifact(GSON)
+            single_fixture.repository().checksum_local(GSON)
         assert main(["generate", "--project", str(single_fixture.project_root),
                      "--repo-url", single_fixture.repo.url,
                      "--local-repo", str(single_fixture.cache_root)]) == 2

@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import FIXTURE_BUILDERS, RepoBuilder, dep_xml, pom_xml
+from conftest import FIXTURE_BUILDERS, RepoBuilder, build_aggregator, dep_xml, pom_xml
 from mvnlock.cli import main
 from mvnlock.errors import NotFoundError
 from mvnlock.lockfile import LockfileConfig, generate_all, generate_lockfile, serialize
@@ -185,6 +185,34 @@ def test_bad_skip_module_is_refused_before_any_read(tmp_path, monkeypatch, capsy
     assert run_cli(remote, project, tmp_path / "cache", *command, "--skip-module", "nosuch") == 2
     assert capsys.readouterr() == ("", "mvnlock: error: --skip-module names no module: "
                                        "nosuch\n")
+    assert counts == Counter()
+
+
+def _other_coordinates(lockfile):
+    lockfile.write_text(lockfile.read_text().replace('"version": "2.0"', '"version": "9.9"', 1))
+
+
+@pytest.mark.parametrize("command", [("validate",), ("ci-check", "--changed-file", "src/A.java")])
+@pytest.mark.parametrize("damage, message", [
+    (lambda lockfile: lockfile.unlink(), "missing lockfile.json"),
+    (lambda lockfile: lockfile.write_text("{"), "{lockfile}: "),
+    (_other_coordinates, "lockfile is for com.acme.multi:web:9.9, "
+                         "manifest is com.acme.multi:web:2.0"),
+], ids=["missing", "malformed", "other-coordinates"])
+def test_a_late_modules_bad_lockfile_is_refused_before_any_read(tmp_path, monkeypatch, capsys,
+                                                                 command, damage, message):
+    """Web is the last module: no earlier module is resolved or hashed before the refusal."""
+    fixture = build_aggregator(tmp_path)
+    run = lambda *argv: run_cli(fixture.repo, fixture.project_root, fixture.cache_root, *argv)
+    assert run("generate") == 0
+    lockfile = fixture.project_root / "web" / "lockfile.json"
+    damage(lockfile)
+    capsys.readouterr()
+    counts = count_repository_calls(monkeypatch)
+    assert run(*command) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("mvnlock: error: module web: " + message.format(lockfile=lockfile))
     assert counts == Counter()
 
 
