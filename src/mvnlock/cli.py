@@ -148,26 +148,27 @@ def _emit(args, text_lines: list[str], machine_doc: dict) -> None:
             print(line)
 
 
-def _generate(args) -> list[tuple[str, Lockfile, Path, bytes]]:
-    """Every module's lockfile, its target path and its bytes, in module order."""
+def _generate(args) -> list[tuple[str, Lockfile, list[str], Path, bytes]]:
+    """Every module's lockfile, resolution notes, target path and bytes, in module order."""
     session, modules, _ = _project(args)  # generate locks every module
     config = LockfileConfig(**_given_config(args))
     environment = _environment(args) if config.include_environment else None
     results = generate_all(modules, config, session, environment, args.workers)
-    return [(rel, lock, Path(args.project) / rel / args.lockfile_name, serialize(lock))
-            for rel, lock in results]
+    return [(rel, lock, notes, Path(args.project) / rel / args.lockfile_name, serialize(lock))
+            for rel, lock, notes in results]
 
 
 def cmd_generate(args) -> int:
     generated = _generate(args)
-    write_files([(target, payload) for _, _, target, payload in generated])
+    write_files([(target, payload) for *_, target, payload in generated])
     lines, docs = [], []
-    for rel, lock, target, _ in generated:
+    for rel, lock, notes, target, _ in generated:
         total = len(lock.flattened())
         lines.append(f"generated {rel}/{args.lockfile_name} "
                      f"({total} dependencies, {len(lock.dependencies)} direct)")
-        docs.append({"module": rel, "path": str(target),
-                     "gav": str(lock.module), "dependencies": total})
+        lines.extend(f"  note: {note}" for note in notes)
+        docs.append({"module": rel, "path": str(target), "gav": str(lock.module),
+                     "dependencies": total, "notes": list(notes)})
     _emit(args, lines, {"command": "generate", "modules": docs})
     return EXIT_OK
 
@@ -267,7 +268,7 @@ def cmd_ci_check(args) -> int:
     if not touched:
         return cmd_validate(args)
 
-    updated = [(rel, target, payload) for rel, _, target, payload in _generate(args)
+    updated = [(rel, target, payload) for rel, _, _, target, payload in _generate(args)
                if not target.is_file() or target.read_bytes() != payload]
     if not updated:
         _emit(args, ["lockfiles up to date"],

@@ -129,8 +129,6 @@ def emit_frozen_xml(frozen: FrozenPom) -> str:
         )
     root = ET.fromstring(frozen.base.source_xml)
     q = lambda name: _qname(root.tag, name)
-    if root.tag.startswith("{"):
-        ET.register_namespace("", root.tag[1:].split("}")[0])
 
     # generate's ${} table, so coordinates read here match the locked ones
     table = property_table(frozen.base)
@@ -197,7 +195,14 @@ def emit_frozen_xml(frozen: FrozenPom) -> str:
         f"<!-- generated by mvnlock {__version__}; "
         f"source lockfile sha256:{frozen.source_lockfile_digest} -->"
     )
-    body = ET.tostring(root, encoding="unicode")
+    namespace = root.tag[1:].split("}")[0] if root.tag.startswith("{") else None
+    for el in root.iter() if namespace else ():  # default_namespace refuses any name in none,
+        el.attrib = {k if k[:1] == "{" else f"{{{namespace}}}{k}": v for k, v in el.attrib.items()}
+    try:  # so attributes join the default one (still written unprefixed) and elements fail
+        body = ET.tostring(root, encoding="unicode", default_namespace=namespace)
+    except ValueError as exc:
+        raise MvnlockError(f"cannot freeze {frozen.base.artifact_id}: its pom.xml has an element "
+                           f"in no namespace inside the namespace {namespace}") from exc
     if not body.endswith("\n"):
         body += "\n"
     return f'<?xml version="1.0" encoding="UTF-8"?>\n{header}\n{body}'

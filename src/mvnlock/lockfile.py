@@ -1,9 +1,11 @@
 """Lockfile schema (version 1), generation, canonical JSON, and diffing.
 
 The serialized form is canonical: fixed key order, siblings sorted by
-(groupId, artifactId), two-space indentation, LF line endings, trailing
-newline, UTF-8. Two generations of the same inputs are byte-identical, which
-is what makes lockfiles diffable and tamper-evident in version control.
+(groupId, artifactId), LF line endings, a trailing newline, UTF-8, and the
+two-space layout of ``json.dumps(indent=2, ensure_ascii=False)``, which
+``serialize`` writes itself (the tests compare it with ``json.dumps``). Two
+generations of the same inputs are byte-identical, which is what makes
+lockfiles diffable and tamper-evident in version control.
 """
 
 from __future__ import annotations
@@ -295,8 +297,8 @@ def assemble(module_pom: EffectivePom, config: LockfileConfig, tree: ResolvedTre
 
 def generate_all(modules: list[ProjectModule], config: LockfileConfig, repo: MavenRepository,
                  environment: EnvironmentMetadata | None = None,
-                 workers: int = 4) -> list[tuple[str, Lockfile]]:
-    """One lockfile per module given, by its path (aggregators lock an empty forest).
+                 workers: int = 4) -> list[tuple[str, Lockfile, list[str]]]:
+    """Per module given: its path, its lockfile (an aggregator's is empty), resolution's notes.
 
     All modules read the repository through one session, the one they were
     loaded with, so they share a single snapshot of it. Passes 1 and 2
@@ -320,7 +322,7 @@ def generate_all(modules: list[ProjectModule], config: LockfileConfig, repo: Mav
                 raise tree
             lock = generate_lockfile(module.effective, config, session,
                                      environment=environment, tree=tree)
-        results.append((module.rel_path, lock))
+        results.append((module.rel_path, lock, tree.warnings))
     return results
 
 
@@ -360,38 +362,51 @@ _LOCKFILE = {"lockfileVersion": _Key("lockfile_version", int, 1), **_GAV,
              "plugins": _Key("plugins", list, 1, optional=True)}
 _KINDS = {bool: "a boolean", int: "an integer", str: "a non-empty string",
           list: "an array", dict: "an object"}
+_SCOPES = ("compile", "provided", "runtime", "test")
 
 
-def _write(table: dict, *parts) -> dict:
-    """One block's JSON object, each value read from the part that holds it."""
-    doc = {}
+def _layout(model) -> tuple[dict, tuple]:
+    """The table and the parts of a config, environment, dependency entry or plugin."""
+    if type(model) is LockedDependency:
+        return _ENTRY, (model, model.checksum)
+    if type(model) is tuple:  # a plugin: (Gav, ChecksumRecord)
+        return _PLUGIN, model
+    return (_CONFIG if type(model) is LockfileConfig else _ENVIRONMENT), (model,)
+
+
+_encode = json.encoder.encode_basestring  # C; what ``ensure_ascii=False`` writes strings with
+
+
+def _emit(out: list, table: dict, parts: tuple, pad: str) -> None:
+    """Append one block's object to ``out``, laid out at ``pad`` as ``json.dumps`` does."""
+    inner, opening = pad + "  ", "{"
     for key, (attr, kind, part, optional) in table.items():
         value = getattr(parts[part], attr)
         if optional and value is None:
             continue  # a block this lockfile does not record
-        if kind is list:
-            value = [_nested(item) for item in value]
+        head, opening = f"{opening}\n{inner}{_encode(key)}: ", ","
+        if kind is str:  # ``_encode`` refuses any other type
+            out.append(head + _encode(value))
         elif kind is dict:
-            value = _nested(value)
-        doc[key] = value
-    return doc
-
-
-def _nested(model) -> dict:
-    """The JSON object of a config, environment, dependency entry or plugin."""
-    if type(model) is LockedDependency:
-        return _write(_ENTRY, model, model.checksum)
-    if type(model) is tuple:  # a plugin: (Gav, ChecksumRecord)
-        return _write(_PLUGIN, *model)
-    return _write(_CONFIG if type(model) is LockfileConfig else _ENVIRONMENT, model)
-
-
-def to_document(lockfile: Lockfile) -> dict:
-    return _write(_LOCKFILE, lockfile.module, lockfile)
+            out.append(head)
+            _emit(out, *_layout(value), inner)
+        elif kind is list:
+            out.append(head + ("[" if value else "[]"))
+            for i, item in enumerate(value):
+                out.append(f"{',' if i else ''}\n{inner}  ")
+                _emit(out, *_layout(item), inner + "  ")
+            out.append(f"\n{inner}]" if value else "")
+        elif type(value) is kind:  # a boolean or an integer
+            out.append(head + (str(value) if kind is int else "true" if value else "false"))
+        else:
+            raise TypeError(f"{attr} must be {_KINDS[kind]}, not {value!r}")
+    out.append(f"\n{pad}}}" if opening == "," else "{}")
 
 
 def serialize(lockfile: Lockfile) -> bytes:
-    return (json.dumps(to_document(lockfile), indent=2, ensure_ascii=False) + "\n").encode()
+    out = []
+    _emit(out, _LOCKFILE, (lockfile.module, lockfile), "")
+    return ("".join(out) + "\n").encode()
 
 
 def _expect(condition: bool, message: str) -> None:
@@ -408,54 +423,61 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-def _read(obj, table: dict, where: str) -> tuple[dict, dict]:
+def _spelled(at) -> str:
+    """A place for a message: a string as it is, an entry's indices from the top spelled out."""
+    return at if type(at) is str else "dependencies" + ".children".join(f"[{i}]" for i in at)
+
+
+def _read(obj, table: dict, where) -> tuple[dict, dict]:
     """Check one block's keys and the type of each value; its values by attribute, per part."""
-    _expect(type(obj) is dict, f"{where} must be an object")
-    unknown = obj.keys() - table.keys()
-    _expect(not unknown, f"{where} has unknown keys: {sorted(unknown)}")
-    missing = [key for key in table.keys() - obj.keys() if not table[key].optional]
-    _expect(not missing, f"{where} is missing keys: {sorted(missing)}")
+    if type(obj) is not dict or obj.keys() != table.keys():  # else every key check passes
+        _expect(type(obj) is dict, f"{_spelled(where)} must be an object")
+        unknown = obj.keys() - table.keys()
+        _expect(not unknown, f"{_spelled(where)} has unknown keys: {sorted(unknown)}")
+        missing = [key for key in table.keys() - obj.keys() if not table[key].optional]
+        _expect(not missing, f"{_spelled(where)} is missing keys: {sorted(missing)}")
     parts = ({}, {})
     for key, (attr, kind, part, _) in table.items():
         if key in obj:
             value = obj[key]
             if type(value) is not kind or (kind is str and not value):
-                raise LockfileSchemaError(f"{where}.{key} must be {_KINDS[kind]}")
+                raise LockfileSchemaError(f"{_spelled(where)}.{key} must be {_KINDS[kind]}")
             parts[part][attr] = value
     return parts
 
 
-def _checksum(values: dict, where: str) -> ChecksumRecord:
+def _checksum(values: dict, where) -> ChecksumRecord:
     try:
         return ChecksumRecord(**values)
     except Exception as exc:
-        raise LockfileSchemaError(f"{where}: {exc}") from exc
+        raise LockfileSchemaError(f"{_spelled(where)}: {exc}") from exc
 
 
-def _expect_sorted(gas: list[tuple[str, str]], where: str) -> None:
-    _expect(gas == sorted(gas), f"{where} are not in canonical order")
+def _expect_sorted(gas: list[tuple[str, str]], where, what: str) -> None:
+    if gas != sorted(gas):
+        raise LockfileSchemaError(f"{_spelled(where)}.{what} are not in canonical order")
 
 
-def _parse_entry(obj, depth: int, where: str, seen: set,
-                 config: LockfileConfig) -> LockedDependency:
+def _parse_entry(obj, where: tuple, seen: set, config: LockfileConfig) -> LockedDependency:
     values, checksum = _read(obj, _ENTRY, where)
-    _expect(values["direct"] == (depth == 1), f"{where}.direct contradicts its depth")
-    _expect(values["scope"] in ("compile", "provided", "runtime", "test"),
-            f"{where}.scope is not a known scope")
     ga = (values["group_id"], values["artifact_id"])
-    _expect(ga not in seen, f"{where}: duplicate entry for {ga[0]}:{ga[1]}")
+    if values["direct"] is not (len(where) == 1) or values["scope"] not in _SCOPES or ga in seen:
+        place = _spelled(where)
+        _expect(values["direct"] == (len(where) == 1), f"{place}.direct contradicts its depth")
+        _expect(values["scope"] in _SCOPES, f"{place}.scope is not a known scope")
+        raise LockfileSchemaError(f"{place}: duplicate entry for {ga[0]}:{ga[1]}")
     seen.add(ga)
     record = values["checksum"] = _checksum(checksum, where)
     for key, recorded, configured in (
             ("checksumMode", record.mode, config.checksum_mode),
             ("checksumAlgorithm", record.algorithm, config.checksum_algorithm)):
-        _expect(recorded == configured,
-                f"{where}.{key} is {recorded!r}, but config.{key} is {configured!r}")
-    children = values["children"] = [
-        _parse_entry(child, depth + 1, f"{where}.children[{i}]", seen, config)
-        for i, child in enumerate(values["children"])
-    ]
-    _expect_sorted([c.ga for c in children], f"{where}.children")
+        if recorded != configured:
+            raise LockfileSchemaError(f"{_spelled(where)}.{key} is {recorded!r}, "
+                                      f"but config.{key} is {configured!r}")
+    if values["children"]:  # most entries have none
+        children = values["children"] = [_parse_entry(child, (*where, i), seen, config)
+                                         for i, child in enumerate(values["children"])]
+        _expect_sorted([c.ga for c in children], where, "children")
     return LockedDependency(**values)
 
 
@@ -468,7 +490,7 @@ def _parse_plugins(objs: list, mode: str) -> list[tuple[Gav, ChecksumRecord]]:
         _expect(ga not in seen, f"{where}: duplicate plugin {ga[0]}:{ga[1]}")
         seen.add(ga)
         plugins.append((Gav(**gav), _checksum({**checksum, "mode": mode}, where)))
-    _expect_sorted([gav.ga for gav, _ in plugins], "lockfile.plugins")
+    _expect_sorted([gav.ga for gav, _ in plugins], "lockfile", "plugins")
     return plugins
 
 
@@ -492,9 +514,9 @@ def parse_lockfile(data: bytes) -> Lockfile:
             **_read(top["environment"], _ENVIRONMENT, "lockfile.environment")[0])
     seen: set[tuple[str, str]] = set()
     dependencies = top["dependencies"] = [
-        _parse_entry(entry, 1, f"dependencies[{i}]", seen, config)
+        _parse_entry(entry, (i,), seen, config)
         for i, entry in enumerate(top["dependencies"])]
-    _expect_sorted([e.ga for e in dependencies], "lockfile.dependencies")
+    _expect_sorted([e.ga for e in dependencies], "lockfile", "dependencies")
     _expect(("plugins" in top) == config.include_plugins,
             "plugins block must be present iff config.includePlugins")
     if "plugins" in top:

@@ -321,6 +321,28 @@ def build_dualpath(tmp: Path) -> Fixture:
     return Fixture("dualpath", project, repo, tmp / "cache", mutate)
 
 
+def many_entry_lockfile(entries: int = 900, fan: int = 8):
+    """An in-memory remote sha512 lockfile of ``entries`` entries, each direct one with
+    up to ``fan`` transitive children, to time how fast a lockfile is written and read."""
+    from mvnlock.lockfile import LockedDependency, Lockfile, LockfileConfig
+    from mvnlock.pom import Gav
+    from mvnlock.repo import ChecksumRecord
+
+    def entry(i: int, direct: bool, children: list) -> LockedDependency:
+        return LockedDependency(
+            f"org.pool.g{i % 37:02d}", f"artifact-{i:04d}", f"1.{i % 7}.0-rc1", "compile",
+            ChecksumRecord("sha512", hashlib.sha512(str(i).encode()).hexdigest(), "remote"),
+            "file:remote", direct, sorted(children, key=lambda e: e.ga))
+
+    directs = []
+    for i in range(0, entries, fan + 1):
+        children = [entry(j, False, []) for j in range(i + 1, min(i + 1 + fan, entries))]
+        directs.append(entry(i, True, children))
+    return Lockfile(Gav("org.app", "app", "1.0.0"),
+                    LockfileConfig(checksum_mode="remote", checksum_algorithm="sha512"),
+                    sorted(directs, key=lambda e: e.ga))
+
+
 FIXTURE_BUILDERS = {
     "single": build_single,
     "aggregator": build_aggregator,

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import os
 import random
+import re
 import shutil
 import stat
 import threading
@@ -91,6 +93,7 @@ class TestGenerate:
         doc = json.loads(capsys.readouterr().out)
         assert doc["command"] == "generate"
         assert doc["modules"][0]["module"] == "."
+        assert doc["modules"][0]["notes"] == []
 
     def test_flags_round_trip_into_config_block(self, single_fixture):
         assert run(single_fixture, "generate", "--checksum-algorithm", "sha1",
@@ -315,11 +318,17 @@ class TestManifestDrift:
         single_fixture.repo.add("org.c", "y", "1.0", deps=(dep_xml("org.c", "x", "1.0"),))
         (single_fixture.project_root / "pom.xml").write_text(pom_xml(
             "com.acme", "app", "1.0.0", deps=(dep_xml("org.c", "x", "1.0"),)), encoding="utf-8")
-        assert run(single_fixture, "generate") == 0
-        assert capsys.readouterr().out == "generated ./lockfile.json (2 dependencies, 1 direct)\n"
-        assert b"already on path" not in (single_fixture.project_root / "lockfile.json").read_bytes()
         note = ("dependency cycle dropped: org.c:x:1.0 already on path "
                 "com.acme:app:1.0.0 -> org.c:x:1.0 -> org.c:y:1.0")
+        assert run(single_fixture, "generate") == 0
+        assert capsys.readouterr().out == (
+            f"generated ./lockfile.json (2 dependencies, 1 direct)\n  note: {note}\n")
+        payload = (single_fixture.project_root / "lockfile.json").read_bytes()
+        assert b"already on path" not in payload
+        assert run(single_fixture, "generate", "--format", "machine") == 0
+        (module,) = json.loads(capsys.readouterr().out)["modules"]
+        assert module["notes"] == [note]
+        assert (single_fixture.project_root / "lockfile.json").read_bytes() == payload
         assert run(single_fixture, "validate") == 0
         assert capsys.readouterr().out == (
             f"module . (com.acme:app:1.0.0): ok\n  note: {note}\n")
@@ -530,6 +539,27 @@ class TestFreeze:
         first = frozen.read_bytes()
         assert run(single_fixture, "freeze") == 0
         assert frozen.read_bytes() == first
+
+    def test_header_names_each_lockfile_by_the_sha256_of_its_canonical_bytes(self, tmp_path):
+        fixture = build_aggregator(tmp_path)
+        assert run(fixture, "generate") == 0
+        assert run(fixture, "freeze") == 0
+
+        def recorded(rel):
+            text = (fixture.project_root / rel / "pom.lockfile.xml").read_text(encoding="utf-8")
+            return re.search(r"source lockfile sha256:([0-9a-f]{64}) ", text).group(1)
+
+        lockfiles = {rel: fixture.project_root / rel / "lockfile.json"
+                     for rel in fixture.module_paths}
+        canonical = {rel: path.read_bytes() for rel, path in lockfiles.items()}
+        for rel, payload in canonical.items():
+            assert recorded(rel) == hashlib.sha256(payload).hexdigest(), rel
+        frozen = (fixture.project_root / "core" / "pom.lockfile.xml").read_bytes()
+        # a valid lockfile in another layout is recorded by its canonical bytes
+        lockfiles["core"].write_text(json.dumps(json.loads(canonical["core"]), indent=4))
+        assert run(fixture, "freeze") == 0
+        assert recorded("core") == hashlib.sha256(canonical["core"]).hexdigest()
+        assert (fixture.project_root / "core" / "pom.lockfile.xml").read_bytes() == frozen
 
     def test_stale_lockfile_exits_two(self, single_fixture, capsys):
         assert run(single_fixture, "generate") == 0

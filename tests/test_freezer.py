@@ -267,6 +267,68 @@ class TestEmit:
             emit_frozen_xml(frozen)
 
 
+NS = "http://maven.apache.org/POM/4.0.0"
+XSI = "http://www.w3.org/2001/XMLSchema-instance"
+
+
+def namespaced(body: str = "", root_attributes: str = "") -> PomModel:
+    """A manifest in the POM namespace, with ``body`` added at the end of <project>."""
+    return parse_pom(pom_xml("g", "ns", "1.0")
+                     .replace("<project>", f'<project xmlns="{NS}"{root_attributes}>')
+                     .replace("</project>", f"{body}</project>"))
+
+
+def frozen_of(model: PomModel) -> FrozenPom:
+    return FrozenPom(base=model, direct_overrides={},
+                     managed_pins=[("org.d", "d", "1.0", "compile")],
+                     source_lockfile_digest="0" * 64)
+
+
+class TestEmitNamespaces:
+    def test_freezing_leaves_elementtree_namespace_map_unchanged(self):
+        before = dict(ET._namespace_map)
+        out = emit_frozen_xml(frozen_of(namespaced()))
+        assert ET._namespace_map == before
+        assert f'<project xmlns="{NS}">' in out and "ns0:" not in out
+        assert {el.tag.split("}")[0] for el in ET.fromstring(out).iter()} == {"{" + NS}
+
+    def test_attributes_in_no_namespace_are_written_as_read(self):
+        # ElementTree's default_namespace alone refuses an unprefixed attribute
+        model = namespaced(
+            '<build><plugins><plugin><artifactId>p</artifactId><version>1</version>'
+            '<configuration combine.children="append"><x>1</x></configuration>'
+            '</plugin></plugins></build>',
+            f' xmlns:xsi="{XSI}" xsi:schemaLocation="{NS} pom.xsd"'
+            ' child.project.url.inherit.append.path="false"')
+        out = emit_frozen_xml(frozen_of(model))
+        assert (f'<project xmlns="{NS}" xmlns:xsi="{XSI}" xsi:schemaLocation="{NS} pom.xsd"'
+                ' child.project.url.inherit.append.path="false">') in out
+        assert '<configuration combine.children="append"><x>1</x></configuration>' in out
+
+    def test_element_in_no_namespace_is_refused(self):
+        model = namespaced('<description xmlns="">no namespace</description>')
+        with pytest.raises(MvnlockError, match="^cannot freeze ns: its pom.xml has an element "
+                                               "in no namespace"):
+            emit_frozen_xml(frozen_of(model))
+
+    def test_element_in_no_namespace_exits_two_naming_the_manifest(self, tmp_path, capsys):
+        fixture = build_single(tmp_path)
+        pom = fixture.project_root / "pom.xml"
+        pom.write_text(pom.read_text(encoding="utf-8")
+                       .replace("<project>", f'<project xmlns="{NS}">')
+                       .replace("</project>", '<description xmlns="">x</description></project>'),
+                       encoding="utf-8")
+        common = ["--project", str(fixture.project_root), "--repo-url", fixture.repo.url,
+                  "--local-repo", str(fixture.cache_root)]
+        assert main(["generate", *common]) == 0
+        capsys.readouterr()
+        assert main(["freeze", *common]) == 2
+        assert capsys.readouterr().err == (
+            "mvnlock: error: module .: cannot freeze app: its pom.xml has an element "
+            f"in no namespace inside the namespace {NS}\n")
+        assert not (fixture.project_root / "pom.lockfile.xml").exists()
+
+
 class TestFreezeEquivalence:
     def frozen_effective(self, module, lock, repo, fixture):
         text = emit_frozen_xml(freeze(module.effective, lock))

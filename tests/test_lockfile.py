@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import random
+import re
 import subprocess
 import threading
 import time
@@ -28,7 +29,6 @@ from mvnlock.lockfile import (
     generate_lockfile,
     parse_lockfile,
     serialize,
-    to_document,
 )
 from mvnlock.pom import Gav
 from mvnlock.project import load_project
@@ -161,7 +161,7 @@ class TestGeneration:
         lock = generate_lockfile(
             effective, LockfileConfig(include_environment=True), repo, environment=env)
         assert lock.environment == env
-        doc = to_document(lock)
+        doc = json.loads(serialize(lock))
         assert doc["environment"]["javaVersion"] == "17.0.2"
 
     def test_plugins_locked_with_checksums(self, tmp_path):
@@ -214,7 +214,7 @@ class TestGenerateAll:
     def test_single_module(self, single_fixture):
         repo = single_fixture.repository()
         results = lock_project(single_fixture.project_root, LockfileConfig(), repo)
-        assert [rel for rel, _ in results] == ["."]
+        assert [rel for rel, *_ in results] == ["."]
 
     def test_aggregator_three_lockfiles(self, tmp_path):
         from conftest import build_aggregator
@@ -222,10 +222,10 @@ class TestGenerateAll:
         fixture = build_aggregator(tmp_path)
         repo = fixture.repository()
         results = lock_project(fixture.project_root, LockfileConfig(), repo)
-        assert [rel for rel, _ in results] == [".", "core", "web"]
+        assert [rel for rel, *_ in results] == [".", "core", "web"]
         root_lock = results[0][1]
         assert root_lock.dependencies == []  # aggregator-only root
-        core_lock = dict(results)["core"]
+        core_lock = {rel: lock for rel, lock, _ in results}["core"]
         text = next(e for e in core_lock.flattened() if e.artifact_id == "text")
         assert text.version == "1.0"
 
@@ -246,7 +246,7 @@ class TestGenerateAll:
         from conftest import build_aggregator
 
         fixture = build_aggregator(tmp_path)
-        runs = [[(rel, serialize(lock)) for rel, lock in
+        runs = [[(rel, serialize(lock)) for rel, lock, _ in
                  lock_project(fixture.project_root, LockfileConfig(), fixture.repository(),
                               workers=workers)]
                 for workers in (1, 4)]
@@ -321,7 +321,7 @@ class TestGenerateAll:
         for workers in (4, 1):
             repo = MavenRepository(RepositoryConfig(remote_base_urls=(fixture.repo.url,),
                                                     local_repo_root=tmp_path / f"cache{workers}"))
-            runs[workers] = [(rel, serialize(lock)) for rel, lock in lock_project(
+            runs[workers] = [(rel, serialize(lock)) for rel, lock, _ in lock_project(
                 fixture.project_root, LockfileConfig(), repo, workers=workers)]
         assert False in on_main["fetch_pom"]
         assert on_main["list_versions"] == {True}
@@ -404,6 +404,21 @@ class TestCanonicalForm:
         doc = __import__("json").loads(GOLDEN.read_text())
         doc["dependencies"].reverse()
         with pytest.raises(LockfileSchemaError, match="canonical order"):
+            parse_lockfile(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_unsorted_children_rejected_at_their_place(self, nested):
+        doc = json.loads(GOLDEN.read_text())
+        parent = doc["dependencies"][1]
+        if nested:
+            parent = parent["children"][0]
+        text = dict(doc["dependencies"][1]["children"][0], children=[])
+        parent["children"] = [*parent["children"], {**text, "groupId": "a.first"}]
+        if nested:
+            parent["children"] = [{**text, "groupId": "z.last"}, *parent["children"]]
+        where = "dependencies[1].children[0]" if nested else "dependencies[1]"
+        with pytest.raises(LockfileSchemaError,
+                           match=rf"^{re.escape(where)}\.children are not in canonical order$"):
             parse_lockfile(json.dumps(doc).encode())
 
     def test_direct_flag_depth_consistency(self):
@@ -525,9 +540,9 @@ def test_single_fault_is_rejected(doc):
 class TestDeterminism:
     def test_regeneration_byte_identical(self, fixture):
         repo = fixture.repository()
-        first = [serialize(lock) for _, lock in
+        first = [serialize(lock) for _, lock, _ in
                  lock_project(fixture.project_root, LockfileConfig(), repo)]
-        second = [serialize(lock) for _, lock in
+        second = [serialize(lock) for _, lock, _ in
                   lock_project(fixture.project_root, LockfileConfig(), repo)]
         assert first == second
 
@@ -544,7 +559,7 @@ class TestDeterminism:
     def test_adversarial_scheduler_all_modules(self, fixture, mode):
         config = LockfileConfig(checksum_mode=mode)
         payloads = {
-            tuple((rel, serialize(lock)) for rel, lock in lock_project(
+            tuple((rel, serialize(lock)) for rel, lock, _ in lock_project(
                 fixture.project_root, config, JitterRepo(fixture.repository(), seed),
                 workers=workers))
             for seed in range(3) for workers in (1, 4)

@@ -231,7 +231,7 @@ def test_session_lockfiles_match_bare_repository(tmp_path, config):
         session = Session(fixture.repository())
         shared = {
             rel: serialize(lock)
-            for rel, lock in generate_all(load_project(fixture.project_root, session), config,
+            for rel, lock, _ in generate_all(load_project(fixture.project_root, session), config,
                                           session)
         }
         assert shared == bare, name
