@@ -5,24 +5,15 @@ resolved again with the lockfile's recorded config, generate assembles its
 forest from that tree (``lockfile.assemble``), and ``lockfile.diff``
 compares it with the recorded one. That catches silent version, scope,
 direct/transitive and parent changes, and bumped, dropped or added plugins.
-Checksum recomputation catches artifact tampering. Environment differences
-are reported as warnings, never failures.
+Checksum recomputation catches artifact tampering. ``diff`` also reports a
+recorded environment that differs from the current one, as warnings, never
+failures.
 """
 
 from __future__ import annotations
 
 from .errors import in_module
-from .lockfile import (
-    _ENVIRONMENT,
-    ERROR,
-    EnvironmentMetadata,
-    Finding,
-    Job,
-    Lockfile,
-    assemble,
-    diff,
-    probe_environment,
-)
+from .lockfile import ERROR, EnvironmentMetadata, Finding, Job, Lockfile, assemble, diff
 from .pom import EffectivePom, Gav
 from .project import ProjectModule, read_ahead
 from .records import Record
@@ -91,43 +82,32 @@ def verify_checksums(checks: list[Check], repo: MavenRepository) -> list[Finding
 
 
 def compare(module_pom: EffectivePom, lockfile: Lockfile, tree: ResolvedTree,
-            override_mode: str | None = None) -> tuple[list[Finding], list[Check]]:
+            override_mode: str | None = None,
+            environment: EnvironmentMetadata | None = None) -> tuple[list[Finding], list[Check]]:
     """Diff the lockfile against the forest generate assembles from ``tree``.
 
-    The forest is assembled with the lockfile's recorded config and no
-    digests, so only ``diff``'s findings that need no digest come back, with
-    a check for every entry and plugin still at its locked version. An entry
-    is read by the type and classifier of the tree node it matched, the file
-    generate locked, per its recorded mode unless ``override_mode`` is given;
-    in remote mode the cached copy is read as well. A plugin is read as a jar
-    in the lockfile's mode.
+    The forest is assembled with the lockfile's config, the current
+    ``environment`` (probed when None) and no digests, so only ``diff``'s
+    findings that need no digest come back, with a check for every entry and
+    plugin still at its locked version. Each is read one way: in the
+    lockfile's mode unless ``override_mode`` is given, and in remote mode
+    from the cache too. An entry is read as the tree node it matched, the
+    file generate locked; a plugin as a jar.
     """
-    # the recorded environment, so that assembling probes nothing; diff compares none
-    forest = assemble(module_pom, lockfile.config, tree, environment=lockfile.environment)
-    selected = {n.gav: n for n in tree.flattened}  # a Gav equals its (g, a, v) tuple
-    checks: list[Check] = []
-    for entry in sorted(lockfile.flattened(), key=lambda e: e.ga):
-        node, record = selected.get((*entry.ga, entry.version)), entry.checksum
-        if node is not None:
-            mode = override_mode or record.mode
-            modes = (mode, "local") if mode == "remote" else (mode,)
-            checks.append((*entry.ga, record,
-                           tuple((m, node.artifact, record.algorithm) for m in modes)))
+    config = lockfile.config
+    forest = assemble(module_pom, config, tree, environment=environment)
+    mode = override_mode or config.checksum_mode
+    modes = (mode, "local") if mode == "remote" else (mode,)
+    artifacts = {n.gav: n.artifact for n in tree.flattened}  # a Gav equals its (g, a, v) tuple
     declared = {gav for gav, _ in forest.plugins or ()}
-    mode = override_mode or lockfile.config.checksum_mode
-    checks += [(*gav.ga, record, ((mode, (gav, "jar", None), record.algorithm),))
-               for gav, record in lockfile.plugins or () if gav in declared]
+    locked = [(*entry.ga, entry.checksum, artifacts.get((*entry.ga, entry.version)))
+              for entry in sorted(lockfile.flattened(), key=lambda e: e.ga)]
+    locked += [(*gav.ga, record, (gav, "jar", None) if gav in declared else None)
+               for gav, record in lockfile.plugins or ()]
+    checks = [(group, artifact, record,
+               tuple((m, job, config.checksum_algorithm) for m in modes))
+              for group, artifact, record, job in locked if job is not None]
     return diff(lockfile, forest), checks
-
-
-def check_environment(expected: EnvironmentMetadata | None,
-                      actual: EnvironmentMetadata) -> list[Finding]:
-    """Field-wise comparison; differences are warnings only."""
-    if expected is None:
-        return []
-    return [Finding("environment-drift", "environment", name, want, have)
-            for name, key in _ENVIRONMENT.items()
-            if (want := getattr(expected, key.attr)) != (have := getattr(actual, key.attr))]
 
 
 def validate(modules: list[ProjectModule], lockfiles: list[Lockfile | None],
@@ -138,9 +118,10 @@ def validate(modules: list[ProjectModule], lockfiles: list[Lockfile | None],
     Every lockfile recorded for other coordinates is refused before anything
     is resolved. Pass 1 resolves each module with its recorded config and
     runs ``compare``; pass 2 reads each distinct digest once on a pool of
-    ``workers`` threads (``project.read_ahead``); pass 3 verifies them and a
-    recorded environment (``current_environment``, probed when None). The
-    first failing module, in module order, is raised as ``module <path>: ...``.
+    ``workers`` threads (``project.read_ahead``); pass 3 verifies them. A
+    recorded environment is compared with ``current_environment``, probed
+    when None. The first failing module, in module order, is raised as
+    ``module <path>: ...``.
     """
     session = session_of(repo)
     pairs = list(zip(modules, lockfiles, strict=True))
@@ -155,7 +136,8 @@ def validate(modules: list[ProjectModule], lockfiles: list[Lockfile | None],
             return None, []
         tree = resolve(module.effective, session, include_test=lock.config.include_test,
                        pool=pool)
-        findings, checks = compare(module.effective, lock, tree, override_mode)
+        findings, checks = compare(module.effective, lock, tree, override_mode,
+                                   current_environment)
         return (tree, findings, checks), [read for *_, reads in checks for read in reads]
 
     def report(module: ProjectModule, lock: Lockfile | None, outcome) -> ValidationReport:
@@ -165,11 +147,7 @@ def validate(modules: list[ProjectModule], lockfiles: list[Lockfile | None],
             if lock is None:
                 return ValidationReport(module.gav, notes=["validation skipped by configuration"])
             tree, findings, checks = outcome
-            findings = findings + verify_checksums(checks, session)
-            if lock.environment is not None:
-                findings += check_environment(lock.environment,
-                                              current_environment or probe_environment())
-            findings.sort(key=Finding.sort_key)
+            findings = sorted(findings + verify_checksums(checks, session), key=Finding.sort_key)
             return ValidationReport(module.gav, findings, notes=list(tree.warnings))
 
     outcomes = read_ahead(pairs, prepare, lambda read: current_digest(session, *read), workers)

@@ -446,11 +446,24 @@ def _read(obj, table: dict, where) -> tuple[dict, dict]:
     return parts
 
 
-def _checksum(values: dict, where) -> ChecksumRecord:
+def _built(make, where, **values):
+    """``make(**values)``, its refusal of a value raised as a schema error at ``where``."""
     try:
-        return ChecksumRecord(**values)
-    except Exception as exc:
+        return make(**values)
+    except MvnlockError as exc:
         raise LockfileSchemaError(f"{_spelled(where)}: {exc}") from exc
+
+
+def _checksum(values: dict, where, config: LockfileConfig) -> ChecksumRecord:
+    """The record, refused unless in ``config``'s mode and algorithm; a plugin takes its mode."""
+    record = _built(ChecksumRecord, where, **{"mode": config.checksum_mode, **values})
+    for key, recorded, configured in (
+            ("checksumMode", record.mode, config.checksum_mode),
+            ("checksumAlgorithm", record.algorithm, config.checksum_algorithm)):
+        if recorded != configured:
+            raise LockfileSchemaError(f"{_spelled(where)}.{key} is {recorded!r}, "
+                                      f"but config.{key} is {configured!r}")
+    return record
 
 
 def _expect_sorted(gas: list[tuple[str, str]], where, what: str) -> None:
@@ -467,13 +480,8 @@ def _parse_entry(obj, where: tuple, seen: set, config: LockfileConfig) -> Locked
         _expect(values["scope"] in _SCOPES, f"{place}.scope is not a known scope")
         raise LockfileSchemaError(f"{place}: duplicate entry for {ga[0]}:{ga[1]}")
     seen.add(ga)
-    record = values["checksum"] = _checksum(checksum, where)
-    for key, recorded, configured in (
-            ("checksumMode", record.mode, config.checksum_mode),
-            ("checksumAlgorithm", record.algorithm, config.checksum_algorithm)):
-        if recorded != configured:
-            raise LockfileSchemaError(f"{_spelled(where)}.{key} is {recorded!r}, "
-                                      f"but config.{key} is {configured!r}")
+    _built(Gav, where, group_id=ga[0], artifact_id=ga[1], version=values["version"])
+    values["checksum"] = _checksum(checksum, where, config)
     if values["children"]:  # most entries have none
         children = values["children"] = [_parse_entry(child, (*where, i), seen, config)
                                          for i, child in enumerate(values["children"])]
@@ -481,7 +489,7 @@ def _parse_entry(obj, where: tuple, seen: set, config: LockfileConfig) -> Locked
     return LockedDependency(**values)
 
 
-def _parse_plugins(objs: list, mode: str) -> list[tuple[Gav, ChecksumRecord]]:
+def _parse_plugins(objs: list, config: LockfileConfig) -> list[tuple[Gav, ChecksumRecord]]:
     plugins, seen = [], set()
     for i, obj in enumerate(objs):
         where = f"plugins[{i}]"
@@ -489,7 +497,7 @@ def _parse_plugins(objs: list, mode: str) -> list[tuple[Gav, ChecksumRecord]]:
         ga = (gav["group_id"], gav["artifact_id"])
         _expect(ga not in seen, f"{where}: duplicate plugin {ga[0]}:{ga[1]}")
         seen.add(ga)
-        plugins.append((Gav(**gav), _checksum({**checksum, "mode": mode}, where)))
+        plugins.append((_built(Gav, where, **gav), _checksum(checksum, where, config)))
     _expect_sorted([gav.ga for gav, _ in plugins], "lockfile", "plugins")
     return plugins
 
@@ -520,8 +528,8 @@ def parse_lockfile(data: bytes) -> Lockfile:
     _expect(("plugins" in top) == config.include_plugins,
             "plugins block must be present iff config.includePlugins")
     if "plugins" in top:
-        top["plugins"] = _parse_plugins(top["plugins"], config.checksum_mode)
-    return Lockfile(Gav(**module), **top)
+        top["plugins"] = _parse_plugins(top["plugins"], config)
+    return Lockfile(_built(Gav, "lockfile", **module), **top)
 
 
 # --- diffing ---
@@ -556,7 +564,8 @@ def diff(old: Lockfile, new: Lockfile) -> list[Finding]:
     A g:a at one version is then compared by its digest, where both sides
     record one, then by scope, then by placement: a ``direct-mismatch`` when
     it is direct on one side only, else a ``parent-mismatch``. Within one
-    g:a, changes come in that order, an entry's before a plugin's.
+    g:a, changes come in that order, an entry's before a plugin's. Each field
+    of two recorded environments that differs is an ``environment-drift``.
     """
     if old.module.ga != new.module.ga:
         raise ModuleMismatchError("cannot diff lockfiles of different modules: "
@@ -580,5 +589,10 @@ def diff(old: Lockfile, new: Lockfile) -> list[Finding]:
                     "direct" if p == "direct" else "transitive" for p in placement)))
             elif placement[0] != placement[1]:
                 changes.append(Finding("parent-mismatch", *ga, *placement))
+    if old.environment is not None and new.environment is not None:
+        for key, (attr, *_) in _ENVIRONMENT.items():
+            was, now = getattr(old.environment, attr), getattr(new.environment, attr)
+            if was != now:
+                changes.append(Finding("environment-drift", "environment", key, was, now))
     # a stable sort keeps each g:a's changes in the order they were found
     return sorted(changes, key=lambda change: (change.group_id, change.artifact_id))

@@ -166,10 +166,6 @@ class PluginDecl(NamedTuple):
     artifact_id: str
     version: str | None = None
 
-    @property
-    def ga(self) -> tuple[str, str]:
-        return (self.group_id, self.artifact_id)
-
 
 class PomModel(Record):
     """Parsed manifest. group/version may be None until parent inheritance fills them.

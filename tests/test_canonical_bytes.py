@@ -71,7 +71,7 @@ versions = st.text(st.one_of(st.sampled_from(SPECIAL), st.characters(exclude_cha
 
 @st.composite
 def lockfiles(draw) -> Lockfile:
-    """A valid lockfile: siblings sorted, each g:a once, records in the configured mode.
+    """A valid lockfile: siblings sorted, each g:a once, records as the config says.
 
     Its strings are drawn from a few texts drawn first, which keeps each draw small.
     """
@@ -82,10 +82,11 @@ def lockfiles(draw) -> Lockfile:
                             draw(st.sampled_from(sorted(ALGORITHMS))), draw(st.booleans()))
     serial = itertools.count()  # a fixed-width prefix keeps every artifactId distinct
 
-    def record(algorithm: str, mode: str) -> ChecksumRecord:
-        width = ALGORITHMS[algorithm]
+    def record() -> ChecksumRecord:
+        width = ALGORITHMS[config.checksum_algorithm]
         digest = draw(st.integers(0, 16 ** width - 1))
-        return ChecksumRecord(algorithm, f"{digest:0{width}x}", mode)
+        return ChecksumRecord(config.checksum_algorithm, f"{digest:0{width}x}",
+                              config.checksum_mode)
 
     deepest = draw(st.integers(0, 10))  # a chain of entries reaches at least this depth
 
@@ -94,7 +95,7 @@ def lockfiles(draw) -> Lockfile:
         entries = [LockedDependency(
             draw(text), f"{next(serial):03d}{draw(text)}", draw(version),
             draw(st.sampled_from(("compile", "provided", "runtime", "test"))),
-            record(config.checksum_algorithm, config.checksum_mode), draw(text),
+            record(), draw(text),
             depth == 1, forest(depth + 1)) for _ in range(fan)]
         return sorted(entries, key=lambda e: e.ga)
 
@@ -103,7 +104,7 @@ def lockfiles(draw) -> Lockfile:
         environment = EnvironmentMetadata(draw(text), draw(text), draw(text), draw(text))
     if config.include_plugins:
         plugins = sorted(((Gav(draw(text), f"{next(serial):03d}{draw(text)}", draw(version)),
-                           record(draw(st.sampled_from(sorted(ALGORITHMS))), config.checksum_mode))
+                           record())
                           for _ in range(draw(st.integers(0, 2)))), key=lambda p: p[0].ga)
     return Lockfile(Gav(draw(text), draw(text), draw(version)), config, forest(1),
                     environment, plugins)

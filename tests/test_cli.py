@@ -150,8 +150,8 @@ class TestValidate:
         if mode == "local":
             assert read == local
         else:
-            assert read == {("checksum_remote", g) for _, g in local} | local - {
-                ("checksum_local", "org.p:plug:1.0")}
+            # the cached copy of every artifact, the plugin's too, is hashed as well
+            assert read == {("checksum_remote", g) for _, g in local} | local
 
     @pytest.mark.parametrize("workers", ["1", "4"])
     def test_compares_each_module_once(self, tmp_path, monkeypatch, workers):
@@ -596,6 +596,86 @@ class TestFreeze:
         assert err.startswith("mvnlock: error: module core: ")
         assert "org.acme:lib-b" in err
         assert list(fixture.project_root.rglob("pom.lockfile.xml")) == []
+
+
+    def test_range_in_a_locked_version_is_refused_and_nothing_written(self, single_fixture,
+                                                                      capsys):
+        assert run(single_fixture, "generate") == 0
+        lockfile = single_fixture.project_root / "lockfile.json"
+        doc = json.loads(lockfile.read_text())
+        doc["dependencies"][1]["children"][0]["version"] = "[1.0,2.0)"
+        lockfile.write_text(json.dumps(doc, indent=2) + "\n")
+        capsys.readouterr()
+        assert run(single_fixture, "freeze") == 2
+        assert ("dependencies[1].children[0]: version '[1.0,2.0)' contains range syntax"
+                in capsys.readouterr().err)
+        assert list(single_fixture.project_root.rglob("pom.lockfile.xml")) == []
+
+
+    def test_unlocked_test_dependency_is_left_as_written(self, single_fixture):
+        single_fixture.repo.add("org.acme", "testlib", "1.0")
+        single_fixture.repo.add("org.acme", "testlib", "1.1")
+        pom = single_fixture.project_root / "pom.xml"
+        pom.write_text(pom_xml(
+            "com.acme", "app", "1.0.0",
+            deps=(dep_xml("com.google.code.gson", "gson", "2.13.2"),
+                  dep_xml("org.acme", "util", "1.0"),
+                  dep_xml("org.acme", "testlib", "[1.0,2.0)", scope="test")),
+        ), encoding="utf-8")
+        assert run(single_fixture, "generate", "--no-include-test") == 0
+        assert run(single_fixture, "freeze") == 0
+        frozen = (single_fixture.project_root / "pom.lockfile.xml").read_text(encoding="utf-8")
+        (testlib,) = re.findall(r"<dependency>\s*<groupId>org\.acme</groupId>\s*"
+                                r"<artifactId>testlib</artifactId>.*?</dependency>", frozen,
+                                re.DOTALL)
+        assert "<version>[1.0,2.0)</version>" in testlib
+        assert frozen.count("<artifactId>testlib</artifactId>") == 1  # and no pin
+
+
+class TestFailuresNameTheArtifact:
+    """A failed listing or read exits 2 naming what failed and leaves the lockfile as it was."""
+
+    TEXT_PATH = "(path: com.acme:app:1.0.0 -> org.acme:util:1.0)"
+
+    def failing(self, fixture, capsys, *argv) -> str:
+        lockfile = fixture.project_root / "lockfile.json"
+        before = lockfile.read_bytes()
+        capsys.readouterr()
+        assert run(fixture, *argv) == 2
+        assert lockfile.read_bytes() == before
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("metadata, reason", [
+        (None, "org/acme/text/maven-metadata.xml not found in any configured repository"),
+        ("<metadata><versioning>", "malformed version metadata for org.acme:text: "),
+    ], ids=["missing", "malformed"])
+    def test_listing_versions_fails_on_generate(self, single_fixture, capsys, metadata,
+                                                reason):
+        assert run(single_fixture, "generate") == 0
+        published = single_fixture.repo.root / "org" / "acme" / "text" / "maven-metadata.xml"
+        if metadata is None:
+            published.unlink()
+        else:
+            published.write_text(metadata, encoding="utf-8")
+        err = self.failing(single_fixture, capsys, "generate")
+        assert err.startswith(
+            f"mvnlock: error: module .: cannot list versions of org.acme:text: {reason}")
+        assert err.rstrip().endswith(self.TEXT_PATH)
+
+    def test_offline_without_cached_metadata(self, single_fixture, capsys):
+        assert run(single_fixture, "generate") == 0
+        (single_fixture.cache_root / "org" / "acme" / "text" / "maven-metadata.xml").unlink()
+        for argv in (("validate", "--offline"), ("generate", "--offline")):
+            err = self.failing(single_fixture, capsys, *argv)
+            assert err == ("mvnlock: error: module .: cannot list versions of org.acme:text: "
+                           f"no cached version metadata for org.acme:text {self.TEXT_PATH}\n")
+
+    def test_offline_local_read_of_an_uncached_artifact(self, single_fixture, capsys):
+        assert run(single_fixture, "generate") == 0
+        single_fixture.cached_artifact("org.acme", "text", "1.0").unlink()
+        err = self.failing(single_fixture, capsys, "validate", "--offline")
+        assert err == ("mvnlock: error: module .: offline and not cached: "
+                       "org/acme/text/1.0/text-1.0.jar\n")
 
 
 class TestCiCheck:

@@ -45,3 +45,28 @@ def test_checker_reports_unused_names():
         "    return max_version(x)\n"
     )
     assert unused_imports(source) == ["compare_versions (line 4)", "os (line 2)"]
+
+
+def private_lockfile_imports(source: str) -> list[str]:
+    """Names with a leading ``_`` imported from ``mvnlock.lockfile``, relatively or not."""
+    return [f"{alias.name} (line {node.lineno})" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level, node.module) in ((1, "lockfile"), (0, "mvnlock.lockfile"))
+            for alias in node.names if alias.name.startswith("_")]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py"))
+                                  if p.name != "lockfile.py"], ids=lambda p: p.name)
+def test_no_private_lockfile_names_imported(path):
+    """The format's tables stay in ``lockfile.py``; other modules ask it, not copy it."""
+    assert private_lockfile_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_reports_private_lockfile_names():
+    source = (
+        "from .lockfile import _ENVIRONMENT, ERROR\n"
+        "from mvnlock.lockfile import _KINDS\n"
+        "from .pom import _RANGE_CHARS\n"
+        "from ..lockfile import _GAV\n"
+    )
+    assert private_lockfile_imports(source) == ["_ENVIRONMENT (line 1)", "_KINDS (line 2)"]

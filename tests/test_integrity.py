@@ -9,7 +9,6 @@ from mvnlock.errors import MvnlockError, ResolutionError
 from mvnlock.integrity import (
     Finding,
     ValidationReport,
-    check_environment,
     compare,
     validate,
     verify_checksums,
@@ -114,22 +113,6 @@ class TestResolutionDrift:
 
 
 class TestEnvironment:
-    def test_identical_environment_no_findings(self):
-        env = EnvironmentMetadata("Linux", "3.9", "17", "0.1.0")
-        assert check_environment(env, env) == []
-
-    def test_one_field_drift_is_warning(self):
-        want = EnvironmentMetadata("Linux", "3.9", "17", "0.1.0")
-        have = EnvironmentMetadata("Linux", "3.9", "21", "0.1.0")
-        (finding,) = check_environment(want, have)
-        assert finding.kind == "environment-drift"
-        assert finding.severity == "warning"
-        assert (finding.expected, finding.actual) == ("17", "21")
-
-    def test_absent_expected_no_findings(self):
-        have = EnvironmentMetadata("Linux", "3.9", "21", "0.1.0")
-        assert check_environment(None, have) == []
-
     def test_drift_keeps_report_passing(self, single_fixture):
         module, lock, repo = generated(
             single_fixture, config=LockfileConfig(include_environment=True))

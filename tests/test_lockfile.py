@@ -385,6 +385,24 @@ class TestCanonicalForm:
             f"dependencies[1].children[0].{key} is {value!r}, "
             f"but config.{key} is {doc['config'][key]!r}")
 
+    def test_plugin_algorithm_must_be_configs(self):
+        doc = json.loads(GOLDEN.read_text())
+        doc["plugins"][0].update(checksumAlgorithm="sha1", checksum="ab" * 20)
+        with pytest.raises(LockfileSchemaError) as raised:
+            parse_lockfile(json.dumps(doc).encode())
+        assert str(raised.value) == (
+            "plugins[0].checksumAlgorithm is 'sha1', but config.checksumAlgorithm is 'sha256'")
+
+    @pytest.mark.parametrize("where", ["lockfile", "plugins[0]", "dependencies[1].children[0]"])
+    def test_range_version_is_refused_at_its_place(self, where):
+        doc = json.loads(GOLDEN.read_text())
+        block = {"lockfile": doc, "plugins[0]": doc["plugins"][0],
+                 "dependencies[1].children[0]": doc["dependencies"][1]["children"][0]}[where]
+        block["version"] = "[1.0,2.0)"
+        with pytest.raises(LockfileSchemaError) as raised:
+            parse_lockfile(json.dumps(doc).encode())
+        assert str(raised.value) == f"{where}: version '[1.0,2.0)' contains range syntax"
+
     def test_unknown_key_rejected(self):
         payload = GOLDEN.read_text().replace(
             '"lockfileVersion": 1', '"lockfileVersion": 1, "mystery": true')
@@ -526,15 +544,19 @@ def single_faults() -> list[tuple[str, dict]]:
 SINGLE_FAULTS = single_faults()
 
 
-@pytest.mark.parametrize("doc", [doc for _, doc in SINGLE_FAULTS],
-                         ids=[name for name, _ in SINGLE_FAULTS])
-def test_single_fault_is_rejected(doc):
+@pytest.mark.parametrize("fault, doc", SINGLE_FAULTS, ids=[name for name, _ in SINGLE_FAULTS])
+def test_single_fault_is_rejected(fault, doc):
     version = doc.get("lockfileVersion")
     expected = (UnsupportedLockfileVersionError
                 if type(version) is int and version != 1 else LockfileSchemaError)
     with pytest.raises(Exception) as raised:
         parse_lockfile(json.dumps(doc, indent=2).encode())
     assert type(raised.value) is expected, raised.value
+    # the message names the faulted object's place; a dropped block is named by its key
+    path, change = fault.split(" ", 1)
+    place = re.sub(r"^lockfile\.(?=dependencies|plugins)", "", path)
+    named = f"{change[1:]} block" if change in ("-environment", "-plugins") else place
+    assert named in str(raised.value), raised.value
 
 
 class TestDeterminism:
@@ -699,6 +721,26 @@ class TestDiff:
             "digest": [plugin(*COMPILER, "ab")],
         }[change]
         assert diff(old, new) == [Finding(*finding)]
+
+    def test_identical_environment_no_findings(self):
+        old, new = self.base(), self.base()
+        assert old.environment is not None
+        assert diff(old, new) == []
+
+    def test_one_field_drift_is_warning(self):
+        old, new = self.base(), self.base()
+        new.environment = new.environment._replace(java_version="21")
+        (finding,) = diff(old, new)
+        assert finding == Finding("environment-drift", "environment", "javaVersion",
+                                  old.environment.java_version, "21")
+        assert finding.severity == "warning"
+
+    @pytest.mark.parametrize("unrecorded", ["old", "new"])
+    def test_environment_on_one_side_no_findings(self, unrecorded):
+        old, new = self.base(), self.base()
+        (old if unrecorded == "old" else new).environment = None
+        new.environment = new.environment and new.environment._replace(java_version="21")
+        assert diff(old, new) == []
 
     def test_module_mismatch(self):
         old, new = self.base(), self.base()

@@ -15,6 +15,12 @@ of the ``single`` fixture:
 - ``republish``: the remote jar replaced and its sidecars rewritten to match;
 - ``poisoned-cache``: one byte of the cached jar flipped before generate.
 
+One more digest row attacks the locked plugin ``org.p:plug:1.0`` of
+``build_manifests``'s project, on the same axes:
+
+- ``plugin-cache-flip``: one byte of the plugin's cached jar flipped after
+  generate.
+
 The manifest rows attack what resolution reads, on ``build_manifests``'s
 project, after generate:
 
@@ -56,6 +62,8 @@ class NotDetectable(NamedTuple):
 
 CHECKSUM = ("checksum-mismatch", GA)
 SOURCE = ("source-mismatch", GA)
+PLUGIN = ("org.p", "plug", "1.0")
+REFETCHED = "emptying the cache drops the flipped copy; the jar fetched again is the published one"
 CACHE_PREDATES = ("the cached copy, fetched before the remote changed, is the one read, "
                   "and it still matches the lockfile")
 MANIFEST_CACHED = ("the cached manifest, fetched before the repository changed, is the one "
@@ -66,11 +74,9 @@ MANIFEST_CACHED = ("the cached manifest, fetched before the repository changed, 
 # is covered by ``expected`` below.
 DIGEST_ROWS = {
     ("cache-flip", "local", "warm"): Detected((CHECKSUM,)),
-    ("cache-flip", "local", "cold"): NotDetectable(
-        "emptying the cache drops the flipped copy; the jar fetched again is the published one"),
+    ("cache-flip", "local", "cold"): NotDetectable(REFETCHED),
     ("cache-flip", "remote", "warm"): Detected((SOURCE,)),
-    ("cache-flip", "remote", "cold"): NotDetectable(
-        "emptying the cache drops the flipped copy; the jar fetched again is the published one"),
+    ("cache-flip", "remote", "cold"): NotDetectable(REFETCHED),
     ("remote-flip", "local", "warm"): NotDetectable(CACHE_PREDATES),
     ("remote-flip", "local", "cold"): Detected((CHECKSUM,)),
     ("remote-flip", "remote", "warm"): NotDetectable(
@@ -87,6 +93,11 @@ DIGEST_ROWS = {
     ("poisoned-cache", "remote", "cold"): NotDetectable(
         "remote mode locked the published digest, and emptying the cache drops the "
         "poisoned copy, so nothing differs from what was published"),
+    # a plugin is read as an entry is: in remote mode its cached copy is hashed too
+    ("plugin-cache-flip", "local", "warm"): Detected((("checksum-mismatch", "org.p:plug"),)),
+    ("plugin-cache-flip", "local", "cold"): NotDetectable(REFETCHED),
+    ("plugin-cache-flip", "remote", "warm"): Detected((("source-mismatch", "org.p:plug"),)),
+    ("plugin-cache-flip", "remote", "cold"): NotDetectable(REFETCHED),
 }
 
 # A manifest attack does not depend on the checksum mode: resolution reads
@@ -223,6 +234,19 @@ MANIFEST_EDITS = {
     "parent-managed": lambda f: publish_parent(f, "1.1"),
     "plugin-bump": lambda f: declare_plugin(f, "2.0"),
 }
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("cache", ["warm", "cold"])
+@pytest.mark.parametrize("mode", ["local", "remote"])
+def test_plugin_digest_row(tmp_path, capsys, mode, cache, command):
+    fixture = build_manifests(tmp_path)
+    fill_cache(fixture, "--include-plugins")
+    assert run(fixture, "generate", "--include-plugins", "--checksum-mode", mode) == 0
+    flip_byte(fixture.cached_artifact(*PLUGIN), 11)
+
+    outcome = DIGEST_ROWS[("plugin-cache-flip", mode, cache)]
+    assert check(fixture, capsys, cache, command) == expected(outcome, mode, cache, command)
 
 
 @pytest.mark.parametrize("command", COMMANDS)
