@@ -10,7 +10,10 @@ fixed-size chunks, so no run holds a whole artifact in memory, and a local
 checksum of a freshly filled artifact is taken from those chunks as they
 arrive instead of from a second read of the cached copy. Each cache fill
 records the serving base URL in a provenance sidecar so the recorded package
-source is stable across reruns.
+source is stable across reruns. The sidecars of one base are hard links to
+one file under ``.mvnlock/`` in the cache, so a fill creates one new file,
+not two; where the file system refuses the link, a sidecar is a file of its
+own with the same text.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import itertools
 import os
 import re
 import sys
+import threading
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from typing import BinaryIO, Iterable, NamedTuple
@@ -40,6 +44,7 @@ from .versions import sorted_versions
 ALGORITHMS = {"sha1": 40, "sha256": 64, "sha512": 128}
 _HEX_RE = re.compile(r"^[0-9a-f]+$")
 _SOURCE_SUFFIX = ".source"
+_SHARED_DIR = ".mvnlock"  # in the cache root: one file per base that its sidecars link to
 _MISSING = (FileNotFoundError, IsADirectoryError, NotADirectoryError)
 _CHUNK = 1 << 20  # files are opened unbuffered, so each read is one syscall of this size
 _TEMP_IDS = itertools.count()  # with the pid, names a temp file no other writer uses
@@ -93,15 +98,26 @@ def parse_checksum_text(text: str, algorithm: str, mode: str) -> ChecksumRecord:
     return ChecksumRecord(algorithm=algorithm, digest=token.lower(), mode=mode)
 
 
-def write_files(files: list[tuple[Path, bytes | Iterable[bytes]]]) -> None:
+class HardLink(NamedTuple):
+    """File content given as a hard link to ``shared``, a file that holds ``data``."""
+    shared: Path
+    data: bytes
+
+
+def write_files(files: list[tuple[Path, bytes | Iterable[bytes] | HardLink]]) -> None:
     """Write every file or none; the one place the package writes a file.
 
-    Each file's content is ``bytes`` or an iterable of byte chunks. Each file
-    is staged as a temp file beside its target, then all are renamed over
-    their targets in list order. If staging fails, the temp files are deleted
-    and every target is left untouched. An ``OSError`` is raised as an
-    ``MvnlockError`` naming the target it was writing; any other exception
-    from a chunk iterator propagates as it is.
+    Each file's content is ``bytes``, an iterable of byte chunks, or a
+    ``HardLink``. Each file is staged under a temp name beside its target,
+    then all are renamed over their targets in list order. If staging fails,
+    the staged files are deleted and every target is left untouched. An
+    ``OSError`` is raised as an ``MvnlockError`` naming the target it was
+    writing; any other exception from a chunk iterator propagates as it is.
+
+    A ``HardLink`` is staged as a new link to its shared file. Where the file
+    system refuses the link (any ``OSError``: no hard links, a link limit,
+    another device, or a policy such as ``protected_hardlinks``), its
+    ``data`` is written as a file of its own instead.
 
     A temp file is created with mode 0o666, so every file written gets the
     mode the umask leaves, as any other tool's output would. Its name carries
@@ -112,17 +128,28 @@ def write_files(files: list[tuple[Path, bytes | Iterable[bytes]]]) -> None:
     renamed = 0
     try:
         for path, data in files:
+            shared = None
+            if isinstance(data, HardLink):
+                shared, data = data
             while True:
                 tmp = f"{path}.{os.getpid()}.{next(_TEMP_IDS)}.tmp"
                 try:
-                    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                    if shared is None:
+                        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                    else:
+                        os.link(shared, tmp)
                     break
                 except FileExistsError:  # left by a killed run that had this pid
                     continue
+                except OSError:
+                    if shared is None:
+                        raise
+                    shared = None  # the link was refused: write the data instead
             staged.append((tmp, path))
-            with os.fdopen(fd, "wb") as handle:
-                for chunk in (data,) if isinstance(data, bytes) else data:
-                    handle.write(chunk)
+            if shared is None:
+                with os.fdopen(fd, "wb") as handle:
+                    for chunk in (data,) if isinstance(data, bytes) else data:
+                        handle.write(chunk)
         for tmp, path in staged:
             os.replace(tmp, path)
             renamed += 1
@@ -197,6 +224,8 @@ class MavenRepository:
 
     def __init__(self, config: RepositoryConfig):
         self.config = config
+        self._shared_sources: dict[str, Path] = {}  # base -> its checked shared marker file
+        self._shared_lock = threading.Lock()
 
     # --- low-level access ---
 
@@ -223,13 +252,38 @@ class MavenRepository:
         path = self.config.local_repo_root / rel_path
         path.parent.mkdir(parents=True, exist_ok=True)
         # the marker lands first: whoever sees the artifact also sees its source,
-        # and a crash between the two leaves no artifact to misattribute
+        # and a crash between the two leaves no artifact to misattribute. It is
+        # a link to the base's shared file, so the fill creates one new file
         files = [(path, data)]
         if source is not None:
+            text = (source + "\n").encode("utf-8")
             files.insert(0, (path.parent / (path.name + _SOURCE_SUFFIX),
-                             (source + "\n").encode("utf-8")))
+                             HardLink(self._shared_source(source, text), text)))
         write_files(files)
         return path
+
+    def _shared_source(self, base: str, text: bytes) -> Path:
+        """The file every marker of ``base`` links to, holding ``text``.
+
+        It is read back once per base and written when it is missing or its
+        text differs, so no marker links to a copy edited by hand. The check
+        runs under a lock, so this handle's fills all link to one copy; other
+        processes that race to write it write the same bytes.
+        """
+        with self._shared_lock:
+            shared = self._shared_sources.get(base)
+            if shared is None:
+                shared = (self.config.local_repo_root / _SHARED_DIR /
+                          (hashlib.sha256(base.encode("utf-8")).hexdigest() + _SOURCE_SUFFIX))
+                try:
+                    current = shared.read_bytes()
+                except OSError:  # missing or unreadable: write it afresh
+                    current = None
+                if current != text:
+                    shared.parent.mkdir(exist_ok=True)
+                    write_files([(shared, text)])
+                self._shared_sources[base] = shared
+            return shared
 
     def _ensure_cached(self, rel_path: str, digest=None) -> Path:
         """The cached copy of rel_path, streamed in from a remote when missing.
@@ -284,7 +338,7 @@ class MavenRepository:
         try:
             self._ensure_cached(artifact_rel_path(gav, packaging, classifier), digest)
         except OfflineError as exc:
-            raise NotFoundError(str(exc)) from exc
+            raise NotFoundError(f"offline and not cached: {gav}", gav=gav) from exc
         return ChecksumRecord(algorithm=algorithm, digest=digest.hexdigest(), mode="local")
 
     def checksum_remote(self, gav: Gav, packaging: str = "jar", algorithm: str = "sha256",

@@ -12,6 +12,7 @@ from collections import Counter
 import pytest
 
 from conftest import (
+    RepoBuilder,
     break_core,
     build_aggregator,
     build_single,
@@ -674,8 +675,7 @@ class TestFailuresNameTheArtifact:
         assert run(single_fixture, "generate") == 0
         single_fixture.cached_artifact("org.acme", "text", "1.0").unlink()
         err = self.failing(single_fixture, capsys, "validate", "--offline")
-        assert err == ("mvnlock: error: module .: offline and not cached: "
-                       "org/acme/text/1.0/text-1.0.jar\n")
+        assert err == "mvnlock: error: module .: offline and not cached: org.acme:text:1.0\n"
 
 
 class TestCiCheck:
@@ -887,6 +887,14 @@ class TestOfflineAndWorkers:
         assert f"argument --workers: must be at least 1, got {value}" in capsys.readouterr().err
         assert not (single_fixture.project_root / "lockfile.json").exists()
 
+    def test_non_integer_workers_is_rejected(self, single_fixture, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run(single_fixture, "generate", "--workers", "two")
+        assert exit_info.value.code == 2
+        assert ("argument --workers: expected a whole number, got 'two'"
+                in capsys.readouterr().err)
+        assert not (single_fixture.project_root / "lockfile.json").exists()
+
     @pytest.mark.parametrize("workers", [1, 3])
     def test_validate_and_freeze_stay_within_workers(self, tmp_path, monkeypatch, workers):
         import mvnlock.freezer
@@ -967,6 +975,57 @@ class TestExitCodeTotality:
         assert main(["generate", "--project", "/nonexistent",
                      "--repo-url", single_fixture.repo.url,
                      "--local-repo", str(single_fixture.cache_root)]) == 2
+
+    @staticmethod
+    def generate_fails(tmp_path, capsys, poms: dict[str, str],
+                       remote_poms: dict[str, str] | None = None) -> str:
+        """Generate on a project of ``poms`` (by module path) must exit 2 and write nothing.
+
+        ``remote_poms`` maps an artifact id of group org.acme, version 1.0, to
+        the POM text its remote repository serves. Returns stderr.
+        """
+        repo = RepoBuilder(tmp_path / "remote")
+        for artifact, text in (remote_poms or {}).items():
+            path = repo.artifact_path("org.acme", artifact, "1.0", "pom")
+            path.parent.mkdir(parents=True)
+            path.write_text(text)
+        project = tmp_path / "project"
+        for rel, text in poms.items():
+            (project / rel).mkdir(parents=True, exist_ok=True)
+            (project / rel / "pom.xml").write_text(text)
+        capsys.readouterr()
+        assert main(["generate", "--project", str(project), "--repo-url", repo.url,
+                     "--local-repo", str(tmp_path / "cache")]) == 2
+        assert not list(project.rglob("lockfile.json"))
+        out, err = capsys.readouterr()
+        assert out == ""
+        return err
+
+    def test_parent_cycle_between_project_poms(self, tmp_path, capsys):
+        err = self.generate_fails(tmp_path, capsys, {
+            ".": pom_xml("com.acme", "root", "1.0", packaging="pom",
+                         parent=("com.acme", "child", "1.0"), modules=["child"]),
+            "child": pom_xml("com.acme", "child", "1.0", parent=("com.acme", "root", "1.0")),
+        })
+        assert err == "mvnlock: error: parent chain cycle at com.acme:child:1.0\n"
+
+    def test_remote_parent_that_fails_to_load(self, tmp_path, capsys):
+        app = pom_xml(None, "app", None, parent=("org.acme", "parent", "1.0"))
+        err = self.generate_fails(tmp_path, capsys, {".": app},
+                                  {"parent": "<project><artifactId>parent"})
+        assert err == ("mvnlock: error: cannot load parent org.acme:parent:1.0: malformed XML: "
+                       "no element found (line 1, column 27)\n")
+
+    def test_coordinates_incomplete_after_inheritance(self, tmp_path, capsys):
+        app = pom_xml(None, "app", None, parent=("org.acme", "bare", "1.0"))
+        err = self.generate_fails(tmp_path, capsys, {".": app}, {
+            "bare": "<project><modelVersion>4.0.0</modelVersion><artifactId>bare</artifactId>"
+                    "</project>"})
+        assert err == "mvnlock: error: coordinates of app remain incomplete after inheritance\n"
+
+    def test_coordinates_undeterminable_without_a_parent(self, tmp_path, capsys):
+        err = self.generate_fails(tmp_path, capsys, {".": pom_xml(None, "app", None)})
+        assert err == "mvnlock: error: cannot determine coordinates of app\n"
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

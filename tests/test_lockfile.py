@@ -82,6 +82,15 @@ def module_effective(fixture, rel="."):
     return module.effective, repo
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"checksum_mode": "both"}, "unknown checksum mode 'both'"),
+    ({"checksum_algorithm": "md5"}, "unknown checksum algorithm 'md5'"),
+])
+def test_library_config_is_checked(fields, message):
+    with pytest.raises(LockfileSchemaError, match=f"^{message}$"):
+        LockfileConfig(**fields)
+
+
 class TestGeneration:
     def test_empty_project_lockfile(self, tmp_path):
         repo_dir = RepoBuilder(tmp_path / "remote")

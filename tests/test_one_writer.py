@@ -1,10 +1,11 @@
 """``repo.write_files`` is the only code in the package that writes a file.
 
 A stdlib ``ast`` check: any other call of ``write_bytes``, ``write_text``,
-``os.replace``, ``os.rename``, ``tempfile.mkstemp``, ``os.write``, of
-``open``, ``Path.open`` or ``os.fdopen`` with a write mode, or of ``os.open``
-with a write or create flag fails it, so a command cannot go back to writing
-its outputs one file at a time.
+``os.replace``, ``os.rename``, ``tempfile.mkstemp``, ``os.write``, of a call
+that makes a link (``os.link``, ``os.symlink``, ``Path.hardlink_to``,
+``Path.symlink_to``), of ``open``, ``Path.open`` or ``os.fdopen`` with a
+write mode, or of ``os.open`` with a write or create flag fails it, so a
+command cannot go back to writing its outputs one file at a time.
 """
 
 import ast
@@ -14,9 +15,10 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mvnlock"
 WRITER = ("repo.py", "write_files")
-WRITE_METHODS = {"write_bytes", "write_text"}
+WRITE_METHODS = {"write_bytes", "write_text", "hardlink_to", "symlink_to"}
 MODULE_WRITERS = {("os", "replace"), ("os", "rename"), ("tempfile", "mkstemp"),
-                  ("os", "write"), ("os", "pwrite"), ("os", "writev")}
+                  ("os", "write"), ("os", "pwrite"), ("os", "writev"),
+                  ("os", "link"), ("os", "symlink")}
 WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND", "O_TRUNC", "O_TMPFILE"}
 
 
@@ -114,7 +116,7 @@ def test_write_files_is_the_one_exception():
     assert f"def {WRITER[1]}(" in source
     renamed = source.replace(f"def {WRITER[1]}(", "def not_the_writer(")
     assert {line.split(" ", 1)[1] for line in file_writes(renamed, WRITER[0])} == {
-        "os.open(O_WRONLY|O_CREAT|O_EXCL)", "fdopen(mode='wb')", "os.replace"}
+        "os.open(O_WRONLY|O_CREAT|O_EXCL)", "fdopen(mode='wb')", "os.replace", "os.link"}
 
 
 def test_checker_reports_every_kind_of_write():
@@ -140,6 +142,11 @@ def test_checker_reports_every_kind_of_write():
         "    os.write(3, data)\n"
         "    os.open(p, os.O_RDONLY)\n"
         "    os.open(p, os.O_RDONLY | os.O_CLOEXEC)\n"
+        "    os.link(p, 'b')\n"
+        "    os.symlink(p, 'b')\n"
+        "    p.hardlink_to('a')\n"
+        "    p.symlink_to('a')\n"
+        "    os.readlink(p)\n"
     )
     assert file_writes(source, "m.py") == [
         "m.py:4 write_bytes",
@@ -154,4 +161,8 @@ def test_checker_reports_every_kind_of_write():
         "m.py:17 os.open(O_RDWR)",
         "m.py:18 os.open(?)",
         "m.py:19 os.write",
+        "m.py:22 os.link",
+        "m.py:23 os.symlink",
+        "m.py:24 hardlink_to",
+        "m.py:25 symlink_to",
     ]

@@ -292,6 +292,13 @@ class TestEffective:
             effective_pom(child, parent_loader=lambda gav: None)
         assert err.value.parent_gav == Gav("com.acme", "parent", "1.0")
 
+    def test_parent_without_a_loader_is_named(self):
+        _, child = self.parent_and_child()
+        with pytest.raises(ParentResolutionError,
+                           match="^no loader available for parent com.acme:parent:1.0$") as err:
+            effective_pom(child, None)
+        assert err.value.parent_gav == Gav("com.acme", "parent", "1.0")
+
     def test_chain_depth_limited(self):
         def loader(gav):
             n = int(gav.artifact_id[1:])

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import os
 import re
@@ -10,7 +11,7 @@ import pytest
 
 import mvnlock
 import mvnlock.repo as repo_module
-from conftest import RepoBuilder, fail_staging
+from conftest import RepoBuilder, build_aggregator, fail_staging
 from mvnlock.cli import main
 from mvnlock.errors import (
     ChecksumUnavailableError,
@@ -22,6 +23,7 @@ from mvnlock.errors import (
 )
 from mvnlock.pom import Gav
 from mvnlock.repo import (
+    HardLink,
     MavenRepository,
     RepositoryConfig,
     artifact_rel_path,
@@ -160,6 +162,12 @@ class TestChecksums:
         with pytest.raises(ChecksumUnavailableError):
             client.checksum_remote(Gav("org.acme", "partial", "1.0"), algorithm="sha256")
 
+    def test_unknown_algorithm_is_refused_before_any_fetch(self, repo, monkeypatch):
+        _, client = repo
+        monkeypatch.setattr(repo_module, "_open", lambda url, timeout: pytest.fail(url))
+        with pytest.raises(IntegrityFormatError, match="^unknown checksum algorithm 'md5'$"):
+            client.checksum_remote_with_source(GSON, algorithm="md5")
+
     def test_remote_requires_online(self, tmp_path):
         client = MavenRepository(RepositoryConfig(
             remote_base_urls=(), local_repo_root=tmp_path / "cache"))
@@ -264,6 +272,123 @@ class TestConcurrency:
         assert seen == [builder.url]
 
 
+def marker(client: MavenRepository, gav: Gav = GSON, packaging: str = "jar") -> Path:
+    path = client.config.local_repo_root / artifact_rel_path(gav, packaging)
+    return path.parent / (path.name + ".source")
+
+
+def shared_marker(client: MavenRepository, base: str) -> Path:
+    """The file under the cache's ``.mvnlock/`` that every marker of ``base`` links to."""
+    name = hashlib.sha256(base.encode("utf-8")).hexdigest() + ".source"
+    return client.config.local_repo_root / ".mvnlock" / name
+
+
+class TestSharedMarker:
+    """Markers of one base are hard links to one file, or files of their own
+    where the file system refuses the link; either way they read the same."""
+
+    def test_markers_of_one_base_share_one_inode(self, repo):
+        builder, client = repo
+        text = Gav("org.acme", "text", "1.0")
+        client.checksum_local(GSON)
+        client.checksum_local(text)
+        shared = shared_marker(client, builder.url)
+        assert shared.read_text(encoding="utf-8") == builder.url + "\n"
+        for gav in (GSON, text):
+            assert marker(client, gav).stat().st_ino == shared.stat().st_ino
+            assert client.source_of(gav) == builder.url
+        assert shared.stat().st_nlink == 3
+        assert [p.name for p in shared.parent.iterdir()] == [shared.name]
+
+    @pytest.mark.parametrize("refusal", [PermissionError(errno.EPERM, "Operation not permitted"),
+                                         OSError(errno.EMLINK, "Too many links")],
+                             ids=["EPERM", "EMLINK"])
+    def test_refused_link_writes_a_marker_of_its_own(self, tmp_path, monkeypatch, refusal):
+        def generate(root):
+            fixture = build_aggregator(root)
+            assert main(["generate", "--project", str(fixture.project_root),
+                         "--repo-url", fixture.repo.url,
+                         "--local-repo", str(fixture.cache_root)]) == 0
+            markers = sorted(fixture.cache_root.rglob("*.jar.source"))
+            assert markers
+            lockfiles = {p.relative_to(root): p.read_bytes()
+                         for p in root.rglob("lockfile.json")}
+            return fixture, markers, lockfiles
+
+        # the same path in both runs, so the recorded base URL is the same
+        linked, markers, lockfiles = generate(tmp_path / "run")
+        shared = shared_marker(linked.repository(), linked.repo.url)
+        assert {m.stat().st_ino for m in markers} == {shared.stat().st_ino}
+        (tmp_path / "run").rename(tmp_path / "linked")
+
+        def refuse(src, dst, **kwargs):
+            raise refusal
+
+        monkeypatch.setattr(repo_module.os, "link", refuse)
+        fixture, markers, refused_lockfiles = generate(tmp_path / "run")
+        assert refused_lockfiles == lockfiles
+        for path in markers:
+            assert path.stat().st_nlink == 1
+            assert path.read_text(encoding="utf-8") == fixture.repo.url + "\n"
+        assert not list(fixture.cache_root.rglob("*.tmp"))
+
+    def test_shared_file_with_wrong_text_is_rewritten_before_the_first_link(self, repo):
+        builder, client = repo
+        shared = shared_marker(client, builder.url)
+        shared.parent.mkdir(parents=True)
+        shared.write_text("file:/somewhere/else\n", encoding="utf-8")
+        client.checksum_local(GSON)
+        assert shared.read_text(encoding="utf-8") == builder.url + "\n"
+        assert marker(client).stat().st_ino == shared.stat().st_ino
+        assert client.source_of(GSON) == builder.url
+
+    def test_each_marker_reads_the_base_that_served_it(self, repo, tmp_path):
+        builder, _ = repo
+        first = RepoBuilder(tmp_path / "first")
+        first.add("com.google.code.gson", "gson", "2.13.2")
+        first.artifact_path("com.google.code.gson", "gson", "2.13.2").unlink()
+        client = MavenRepository(RepositoryConfig(
+            remote_base_urls=(first.url, builder.url), local_repo_root=tmp_path / "cache2",
+        ))
+        client.fetch_pom(GSON)
+        client.checksum_local(GSON)
+        assert client.source_of(GSON, "pom") == first.url
+        assert client.source_of(GSON) == builder.url
+        for gav_marker, base in ((marker(client, GSON, "pom"), first.url),
+                                 (marker(client), builder.url)):
+            assert gav_marker.stat().st_ino == shared_marker(client, base).stat().st_ino
+
+    def test_a_marker_of_its_own_from_an_older_cache_is_read(self, repo, tmp_path):
+        builder, client = repo
+        target = tmp_path / "cache" / artifact_rel_path(GSON)
+        target.parent.mkdir(parents=True)
+        target.write_bytes(b"prefilled")
+        marker(client).write_text("https://repo.example/maven2\n", encoding="utf-8")
+        assert client.source_of(GSON) == "https://repo.example/maven2"
+        client.checksum_local(Gav("org.acme", "text", "1.0"))
+        assert client.source_of(GSON) == "https://repo.example/maven2"
+        assert marker(client).stat().st_nlink == 1
+
+    def test_threads_filling_distinct_artifacts_leave_correct_markers(self, tmp_path):
+        from concurrent.futures import ThreadPoolExecutor
+
+        builder = RepoBuilder(tmp_path / "remote")
+        gavs = [Gav("org.acme", f"lib{n}", "1.0") for n in range(16)]
+        for gav in gavs:
+            builder.add(gav.group_id, gav.artifact_id, gav.version)
+        client = MavenRepository(RepositoryConfig(
+            remote_base_urls=(builder.url,), local_repo_root=tmp_path / "cache",
+        ))
+        with ThreadPoolExecutor(max_workers=16) as pool:
+            list(pool.map(client.checksum_local, gavs))
+        shared = shared_marker(client, builder.url)
+        for gav in gavs:
+            assert marker(client, gav).read_text(encoding="utf-8") == builder.url + "\n"
+            assert marker(client, gav).stat().st_ino == shared.stat().st_ino
+        assert shared.stat().st_nlink == len(gavs) + 1
+        assert not list(client.config.local_repo_root.rglob("*.tmp"))
+
+
 class TestWriteFiles:
     @staticmethod
     def files(tmp_path):
@@ -325,6 +450,21 @@ class TestWriteFiles:
             write_files(files)
         assert raised.value is error
         assert self.snapshot(tmp_path) == before
+
+    def test_failure_after_a_staged_link_removes_it(self, tmp_path):
+        shared = tmp_path / "shared"
+        shared.write_bytes(b"base\n")
+        error = TransportError("fetching x: connection reset")
+
+        def chunks():
+            yield b"part"
+            raise error
+
+        with pytest.raises(TransportError):
+            write_files([(tmp_path / "one", HardLink(shared, b"base\n")),
+                         (tmp_path / "two", chunks())])
+        assert self.snapshot(tmp_path) == {shared: b"base\n"}
+        assert shared.stat().st_nlink == 1
 
     def test_empty_list_writes_nothing(self, tmp_path):
         write_files([])
