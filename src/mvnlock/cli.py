@@ -86,10 +86,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="module path to skip, repeatable ('.' is the root)")
     common.add_argument("--format", choices=("text", "machine"), default="text")
     common.add_argument("--workers", type=_worker_count, default=4, metavar="N",
-                        help="threads that fill the cache and fetch and hash artifacts "
-                             "while resolution and comparison run on the main thread "
-                             "(at 1, hashing runs on the one pool thread); never "
-                             "multiplied, and no output depends on it")
+                        help="threads that run the reads that wait (cache fills, "
+                             "network fetches, hashes of files over 1 MiB) while "
+                             "resolution, comparison and small reads run on the main "
+                             "thread; never multiplied, and no output depends on it")
     common.add_argument("--env-os", metavar="NAME", help="override probed OS name")
     common.add_argument("--env-java", metavar="VERSION", help="override probed Java version")
     common.add_argument("--env-maven", metavar="VERSION", help="override probed Maven version")

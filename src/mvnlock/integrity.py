@@ -118,7 +118,8 @@ def validate(modules: list[ProjectModule], lockfiles: list[Lockfile | None],
     Every lockfile recorded for other coordinates is refused before anything
     is resolved. Pass 1 resolves each module with its recorded config and
     runs ``compare``; pass 2 reads each distinct digest once on a pool of
-    ``workers`` threads (``project.read_ahead``); pass 3 verifies them. A
+    ``workers`` threads when some read waits (``project.read_ahead``); pass
+    3 verifies them, reading on the calling thread any that pass 2 left. A
     recorded environment is compared with ``current_environment``, probed
     when None. The first failing module, in module order, is raised as
     ``module <path>: ...``.
@@ -150,5 +151,6 @@ def validate(modules: list[ProjectModule], lockfiles: list[Lockfile | None],
             findings = sorted(findings + verify_checksums(checks, session), key=Finding.sort_key)
             return ValidationReport(module.gav, findings, notes=list(tree.warnings))
 
-    outcomes = read_ahead(pairs, prepare, lambda read: current_digest(session, *read), workers)
+    outcomes = read_ahead(pairs, prepare, lambda read: current_digest(session, *read),
+                          lambda read: session.read_waits(read[0], *read[1]), workers)
     return [report(module, lock, outcome) for (module, lock), outcome in zip(pairs, outcomes)]

@@ -220,7 +220,8 @@ def _resolve_and_hash(poms: list[EffectivePom], config: LockfileConfig, session,
         tree = resolve(pom, session, include_test=config.include_test, pool=pool)
         return tree, _checksum_jobs(tree, _plugin_gavs(pom, config))
 
-    return read_ahead(poms, prepare, lambda job: _fetch_checksum(session, config, job), workers)
+    return read_ahead(poms, prepare, lambda job: _fetch_checksum(session, config, job),
+                      lambda job: session.read_waits(config.checksum_mode, *job), workers)
 
 
 def generate_lockfile(module_pom: EffectivePom, config: LockfileConfig,
@@ -232,7 +233,7 @@ def generate_lockfile(module_pom: EffectivePom, config: LockfileConfig,
     Every read goes through one session of ``repo`` (``session_of``). With
     ``tree``, as in pass 3 of ``generate_all``, each checksum is a session
     hit and no pool starts. Without it, the module first runs passes 1 and 2
-    on a pool of ``max_workers`` threads. Checksums are then read in job
+    with a pool of ``max_workers`` threads. Checksums are then read in job
     order, so the first error in that order is raised; the lockfile does not
     depend on the order in which the threads computed them.
     """
@@ -304,9 +305,11 @@ def generate_all(modules: list[ProjectModule], config: LockfileConfig, repo: Mav
     loaded with, so they share a single snapshot of it. Passes 1 and 2
     (``project.read_ahead``) resolve every module on the calling thread, in
     module order, while one ``Pool`` of ``workers`` threads fetches the
-    manifests the cache lacks, then fetch and hash each distinct artifact of
-    all modules once on that pool. Pass 3 assembles each lockfile in module
-    order on the calling thread, where every checksum is a session hit.
+    manifests the cache lacks, then, if any checksum read waits
+    (``MavenRepository.read_waits``), fetch and hash each distinct artifact
+    of all modules once on that pool. Pass 3 assembles each lockfile in
+    module order on the calling thread, where every checksum pass 2 read is
+    a session hit and any other is read there, in job order.
 
     Results come in module order. The session keeps what a pass 2 call
     raised, and pass 1 keeps its error beside its module; pass 3 raises

@@ -79,15 +79,17 @@ def load_project(root: Path, repo=None) -> list[ProjectModule]:
 class Pool:
     """The command's one set of worker threads: at most ``workers``, started as work arrives.
 
-    Threads here only wait: they fill the cache, and fetch and hash
-    artifacts. Resolution and comparison stay on the calling thread, where a
-    cached manifest parses faster than it could be handed to a thread and
-    back. ``submit`` is the one way in: it queues a call and returns at once,
-    and the call keeps its own outcome, in a ``Session`` cell. A thread starts
-    only when a call is queued, so a command that queues nothing runs no
-    thread besides its own, and even one worker is a thread of its own.
-    Leaving the ``with`` block lets every queued call finish and joins every
-    thread, so every outcome is in place once the block is left.
+    Threads here only wait: a call is queued only when it fills the cache,
+    fetches over the network or hashes a file larger than one chunk (see
+    ``read_ahead``). Resolution, comparison and every small read stay on the
+    calling thread, where they finish faster than they could be handed to a
+    thread and back. ``submit`` is the one way in: it queues a call and
+    returns at once, and the call keeps its own outcome, in a ``Session``
+    cell. A thread starts only when a call is queued, so a command that
+    queues nothing runs no thread besides its own, and even one worker is a
+    thread of its own. Leaving the ``with`` block lets every queued call
+    finish and joins every thread, so every outcome is in place once the
+    block is left.
     """
 
     def __init__(self, workers: int):
@@ -128,14 +130,18 @@ class Pool:
                 pass
 
 
-def read_ahead(modules: list, prepare: Callable, read: Callable, workers: int) -> list:
+def read_ahead(modules: list, prepare: Callable, read: Callable, waits: Callable,
+               workers: int) -> list:
     """Passes 1 and 2 of generate and validate: prepare every module, then read ahead.
 
     ``prepare(module, pool)`` runs on the calling thread, in module order,
     and returns the module's outcome and the keys of the reads it needs.
-    ``read(key)`` then runs on the pool once per distinct key, and keeps its
-    outcome in a ``Session`` cell. Returns the outcomes in module order, a
-    failed module's exception in its slot, once every read has finished.
+    If ``waits(key)`` holds for at least one distinct key, ``read(key)`` then
+    runs on the pool once per distinct key, and keeps its outcome in a
+    ``Session`` cell. If no read waits, none is queued and no thread starts:
+    the caller's pass 3 reads each key on its own thread, in its own order.
+    Returns the outcomes in module order, a failed module's exception in its
+    slot, once every queued read has finished.
     """
     outcomes, reads = [], {}
     with Pool(workers) as pool:
@@ -146,6 +152,7 @@ def read_ahead(modules: list, prepare: Callable, read: Callable, workers: int) -
             except Exception as exc:  # raised by the caller, in module order
                 outcome = exc
             outcomes.append(outcome)
-        for key in reads:
-            pool.submit(lambda key=key: read(key))
+        if any(waits(key) for key in reads):
+            for key in reads:
+                pool.submit(lambda key=key: read(key))
     return outcomes

@@ -22,6 +22,7 @@ import hashlib
 import itertools
 import os
 import re
+import stat
 import sys
 import threading
 import xml.etree.ElementTree as ET
@@ -166,12 +167,20 @@ def _transport_errors() -> tuple[type[Exception], ...]:
     return (OSError, http.HTTPException) if http else (OSError,)
 
 
-def _open(url: str, timeout: float) -> BinaryIO | None:
-    """A binary stream of the bytes at url, or None when nothing is there."""
+def _local_path(url: str) -> str | None:
+    """The path a ``file:`` URL on this host names; None for any other URL."""
     parts = urlsplit(url)
     if parts.scheme == "file" and parts.netloc in ("", "localhost"):
+        return unquote(parts.path)
+    return None
+
+
+def _open(url: str, timeout: float) -> BinaryIO | None:
+    """A binary stream of the bytes at url, or None when nothing is there."""
+    path = _local_path(url)
+    if path is not None:
         try:
-            return open(unquote(parts.path), "rb", buffering=0)
+            return open(path, "rb", buffering=0)
         except _MISSING:
             return None
     # http.client, ssl and email load only for a repository that needs them
@@ -248,17 +257,22 @@ class MavenRepository:
             return b"".join(_download(stream, _url(base, rel_path))), base
 
     def _write_cache(self, rel_path: str, data: bytes | Iterable[bytes],
-                     source: str | None) -> Path:
+                     source: str | None, what: str) -> Path:
+        """Cache ``data`` at ``rel_path`` with a marker of ``source``; errors name ``what``."""
         path = self.config.local_repo_root / rel_path
-        path.parent.mkdir(parents=True, exist_ok=True)
         # the marker lands first: whoever sees the artifact also sees its source,
         # and a crash between the two leaves no artifact to misattribute. It is
         # a link to the base's shared file, so the fill creates one new file
         files = [(path, data)]
-        if source is not None:
-            text = (source + "\n").encode("utf-8")
-            files.insert(0, (path.parent / (path.name + _SOURCE_SUFFIX),
-                             HardLink(self._shared_source(source, text), text)))
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            if source is not None:
+                text = (source + "\n").encode("utf-8")
+                files.insert(0, (path.parent / (path.name + _SOURCE_SUFFIX),
+                                 HardLink(self._shared_source(source, text), text)))
+        except OSError as exc:  # only a mkdir raises it: a file where a directory goes
+            raise MvnlockError(f"cannot create cache directory {exc.filename} for {what}: "
+                               f"{exc.strerror or exc}") from exc
         write_files(files)
         return path
 
@@ -285,11 +299,12 @@ class MavenRepository:
                 self._shared_sources[base] = shared
             return shared
 
-    def _ensure_cached(self, rel_path: str, digest=None) -> Path:
+    def _ensure_cached(self, rel_path: str, what: str, digest=None) -> Path:
         """The cached copy of rel_path, streamed in from a remote when missing.
 
         With ``digest``, every byte of that copy goes into it exactly once:
         read back from the cache on a hit, or on its way in on a fill.
+        ``what`` names the coordinates of the file in a failure to fill it.
         """
         cached = self.config.local_repo_root / rel_path
         if cached.is_file():
@@ -303,7 +318,7 @@ class MavenRepository:
         stream, base = self._fetch_remote(rel_path)
         with stream:
             return self._write_cache(rel_path, _download(stream, _url(base, rel_path), digest),
-                                     base)
+                                     base, what)
 
     # --- public operations ---
 
@@ -311,9 +326,30 @@ class MavenRepository:
         """Whether the artifact is in the local cache, so reading it fetches nothing."""
         return (self.config.local_repo_root / artifact_rel_path(gav, packaging)).is_file()
 
+    def read_waits(self, mode: str, gav: Gav, packaging: str = "jar",
+                   classifier: str | None = None) -> bool:
+        """Whether reading the artifact's digest in ``mode`` can wait, so it is worth a thread.
+
+        A remote read waits when some base is not a ``file:`` URL on this
+        host. A local read waits when it fills the cache, or hashes a cached
+        file larger than one chunk, which releases the GIL for long stretches.
+        Any other read is a small file read, over before a thread would start.
+        Only the config and the cache are consulted, never a remote.
+        """
+        if mode == "remote":
+            return any(_local_path(base) is None for base in self.config.remote_base_urls)
+        try:
+            cached = os.stat(self.config.local_repo_root /
+                             artifact_rel_path(gav, packaging, classifier))
+        except OSError:
+            cached = None
+        if cached is None or not stat.S_ISREG(cached.st_mode):
+            return not self.config.offline  # a fill; offline, the read fails at once
+        return cached.st_size > _CHUNK
+
     def fetch_pom(self, gav: Gav) -> str:
         try:
-            path = self._ensure_cached(artifact_rel_path(gav, packaging="pom"))
+            path = self._ensure_cached(artifact_rel_path(gav, packaging="pom"), str(gav))
         except NotFoundError as exc:
             raise NotFoundError(str(exc), gav=gav) from exc
         return path.read_text(encoding="utf-8")
@@ -336,7 +372,7 @@ class MavenRepository:
         """
         digest = hashlib.new(algorithm)
         try:
-            self._ensure_cached(artifact_rel_path(gav, packaging, classifier), digest)
+            self._ensure_cached(artifact_rel_path(gav, packaging, classifier), str(gav), digest)
         except OfflineError as exc:
             raise NotFoundError(f"offline and not cached: {gav}", gav=gav) from exc
         return ChecksumRecord(algorithm=algorithm, digest=digest.hexdigest(), mode="local")
@@ -390,7 +426,7 @@ class MavenRepository:
             except _MISSING:
                 unchanged = False
             if not unchanged:
-                self._write_cache(rel, data, None)
+                self._write_cache(rel, data, None, f"{group_id}:{artifact_id}")
         try:
             root = ET.fromstring(data)
         except ET.ParseError as exc:

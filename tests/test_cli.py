@@ -143,8 +143,11 @@ class TestValidate:
 
         monkeypatch.setattr(Session, "_once", counted)
         assert run(fixture, "validate", "--workers", "2", *flags) == 1
-        # once by the pooled pass, once more, as a session hit, by the comparison
-        assert set(reads.values()) == {2}
+        # remote mode fills the cache with each jar, so a pooled pass reads every
+        # digest and the comparison reads it again as a session hit; local mode
+        # finds every jar cached and small, so no read waits and the comparison
+        # makes each read itself, once
+        assert set(reads.values()) == ({1} if mode == "local" else {2})
         read = {(name, str(gav)) for name, gav in reads}
         local = {("checksum_local", g) for g in ("org.acme:util:1.0", "org.acme:text:1.0",
                                                   "org.acme:lib-a:1.0", "org.p:plug:1.0")}
@@ -677,6 +680,23 @@ class TestFailuresNameTheArtifact:
         err = self.failing(single_fixture, capsys, "validate", "--offline")
         assert err == "mvnlock: error: module .: offline and not cached: org.acme:text:1.0\n"
 
+    @pytest.mark.parametrize("blocker, directory, reason", [
+        ("com", "com/google/code/gson/gson/2.13.2", "Not a directory"),
+        (".mvnlock", ".mvnlock", "File exists"),
+    ], ids=["artifact-directory", "marker-directory"])
+    def test_a_file_where_a_cache_directory_goes(self, single_fixture, capsys, blocker,
+                                                  directory, reason):
+        cache = single_fixture.cache_root
+        cache.mkdir(parents=True, exist_ok=True)
+        (cache / blocker).write_text("not a directory", encoding="utf-8")
+        capsys.readouterr()
+        assert run(single_fixture, "generate") == 2
+        assert not (single_fixture.project_root / "lockfile.json").exists()
+        gson = "com.google.code.gson:gson:2.13.2"
+        assert capsys.readouterr().err == (
+            f"mvnlock: error: module .: cannot load manifest of {gson}: cannot create cache "
+            f"directory {cache / directory} for {gson}: {reason} (path: com.acme:app:1.0.0)\n")
+
 
 class TestCiCheck:
     def test_unrelated_change_validates_clean(self, single_fixture):
@@ -923,8 +943,8 @@ class TestOfflineAndWorkers:
         assert run(fixture, "freeze", "--workers", str(workers)) == 0
         assert max(count for calls in seen.values() for count, _ in calls) <= before + workers
         assert {count for count, _ in seen["freeze"]} == {before}
-        # resolution and comparison stay on the main thread; hashing runs on the pool,
-        # on its one thread at 1 worker
+        # resolution and comparison stay on the main thread; every jar is fetched
+        # again, so hashing runs on the pool, on its one thread at 1 worker
         assert {on_main for _, on_main in seen["freeze"]} == {True}
         assert {on_main for _, on_main in seen["checksum_local"]} == {False}
 
@@ -968,6 +988,117 @@ class TestOfflineAndWorkers:
         assert capsys.readouterr().err == (
             f"mvnlock: error: module core: cannot load manifest of {missing} "
             "(path: com.acme.multi:core:2.0)\n")
+
+
+class TestReadAheadThreads:
+    """Digests go to the pool only when some read waits; otherwise no thread starts."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Every checksum read, as (live thread count, on the main thread), and thread starts."""
+        from mvnlock.repo import MavenRepository
+
+        seen = {"reads": [], "starts": 0}
+
+        def counted(call):
+            def wrapper(*args, **kwargs):
+                seen["reads"].append((threading.active_count(),
+                                      threading.current_thread() is threading.main_thread()))
+                return call(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("checksum_local", "checksum_remote", "checksum_remote_with_source"):
+            monkeypatch.setattr(MavenRepository, name, counted(getattr(MavenRepository, name)))
+        start = threading.Thread.start
+
+        def counted_start(thread):
+            seen["starts"] += 1
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
+        return seen
+
+    @staticmethod
+    def pooled(monkeypatch):
+        """From here on every read counts as waiting, so each read-ahead pass pools."""
+        from mvnlock.repo import MavenRepository
+
+        monkeypatch.setattr(MavenRepository, "read_waits", lambda self, *args: True)
+
+    @staticmethod
+    def cycle(fixture, capsys, mode, workers) -> tuple[list[bytes], str]:
+        """Generate's lockfiles, then validate's machine report with one cached jar flipped."""
+        assert run(fixture, "generate", "--checksum-mode", mode, "--workers", workers) == 0
+        locks = [(fixture.project_root / rel / "lockfile.json").read_bytes()
+                 for rel in fixture.module_paths]
+        jar = fixture.cached_artifact("org.acme", "text", "1.0")
+        original = flip_byte(jar, 3)
+        capsys.readouterr()
+        assert run(fixture, "validate", "--format", "machine", "--workers", workers) == 1
+        jar.write_bytes(original)
+        return locks, capsys.readouterr().out
+
+    @pytest.mark.parametrize("workers", ["1", "4"])
+    @pytest.mark.parametrize("mode", ["local", "remote"])
+    def test_warm_small_jars_start_no_thread(self, tmp_path, monkeypatch, capsys, calls, mode,
+                                             workers):
+        fixture = build_aggregator(tmp_path)
+        assert run(fixture, "generate", "--lockfile-name", "fill.json") == 0  # caches every jar
+        calls["reads"].clear()
+        calls["starts"] = 0
+        before = threading.active_count()
+        thread_free = self.cycle(fixture, capsys, mode, workers)
+        assert calls["starts"] == 0
+        assert calls["reads"] and set(calls["reads"]) == {(before, True)}
+        calls["reads"].clear()
+        self.pooled(monkeypatch)
+        assert self.cycle(fixture, capsys, mode, workers) == thread_free
+        assert 0 < calls["starts"] <= 2 * int(workers)  # one pool each for generate and validate
+        assert {on_main for _, on_main in calls["reads"]} == {False}
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("mode", ["local", "remote"])
+    @pytest.mark.parametrize("case", ["big", "uncached"])
+    def test_one_read_that_waits_pools_every_read(self, tmp_path, calls, case, mode, workers):
+        from mvnlock.repo import _CHUNK
+
+        fixture = build_aggregator(tmp_path)
+        if case == "big":
+            fixture.repo.add("org.acme", "text", "1.0", jar=b"j" * (_CHUNK + 1))
+        assert run(fixture, "generate", "--lockfile-name", "fill.json") == 0  # caches every jar
+        assert run(fixture, "generate", "--checksum-mode", mode) == 0
+        if case == "uncached":
+            fixture.cached_artifact("org.acme", "lib-b", "1.0").unlink()
+        calls["reads"].clear()
+        before = threading.active_count()
+        assert run(fixture, "validate", "--workers", str(workers)) == 0
+        assert calls["reads"]
+        assert {on_main for _, on_main in calls["reads"]} == {False}
+        assert max(count for count, _ in calls["reads"]) <= before + workers
+
+    @pytest.mark.parametrize("command", ["generate", "validate"])
+    def test_first_failing_module_wins_without_threads(self, tmp_path, monkeypatch, capsys,
+                                                        calls, command):
+        fixture = build_aggregator(tmp_path)
+        assert run(fixture, "generate", "--lockfile-name", "fill.json") == 0  # caches every jar
+        assert run(fixture, "generate", "--checksum-mode", "remote") == 0
+        # core's text publishes a garbage sidecar; web's lib-b, a later module, none
+        fixture.repo.artifact_path("org.acme", "text", "1.0", "jar.sha256").write_text(
+            "not a digest\n", encoding="utf-8")
+        fixture.repo.artifact_path("org.acme", "lib-b", "1.0", "jar.sha256").unlink()
+        errors = []
+        for pool in (False, True):
+            if pool:
+                self.pooled(monkeypatch)
+            calls["starts"] = 0
+            capsys.readouterr()
+            assert run(fixture, command, "--checksum-mode", "remote", "--workers", "4") == 2
+            assert bool(calls["starts"]) is pool
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("mvnlock: error: module core: ")
+        assert "org.acme:text:1.0: bad checksum at " in errors[0]
 
 
 class TestExitCodeTotality:

@@ -192,6 +192,66 @@ class TestChecksums:
             parse_checksum_text("abc", "sha256", "remote")
 
 
+class TestReadWaits:
+    """``read_waits``: whether a digest read is worth a thread, from the config and cache only."""
+
+    def client(self, tmp_path, *bases):
+        return MavenRepository(RepositoryConfig(remote_base_urls=bases,
+                                                local_repo_root=tmp_path / "cache"))
+
+    @pytest.fixture(autouse=True)
+    def no_network(self, monkeypatch):
+        def refused(*args, **kwargs):
+            pytest.fail("read_waits opened a connection")
+
+        monkeypatch.setattr(repo_module, "_open", refused)
+        monkeypatch.setattr(socket.socket, "connect", refused)
+        monkeypatch.setattr(socket, "getaddrinfo", refused)
+
+    def place(self, client, size: int, gav: Gav = GSON) -> None:
+        path = client.config.local_repo_root / artifact_rel_path(gav)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(b"j" * size)
+
+    @pytest.mark.parametrize("base, waits", [
+        ("file:///srv/maven", False),
+        ("file://localhost/srv/maven", False),
+        ("file:remote", False),
+        ("https://repo.example.org/maven2", True),
+        ("http://repo.example.org/maven2", True),
+        ("file://mirror.example.org/srv/maven", True),  # not this host
+    ])
+    def test_remote_read_waits_unless_every_base_is_a_file_here(self, tmp_path, base, waits):
+        assert self.client(tmp_path, base).read_waits("remote", GSON) is waits
+        # a network base anywhere in the list may serve the read
+        assert self.client(tmp_path, "file:remote", base).read_waits("remote", GSON) is waits
+
+    def test_offline_remote_read_fails_at_once(self, tmp_path):
+        assert self.client(tmp_path).read_waits("remote", GSON) is False
+
+    @pytest.mark.parametrize("size, waits", [
+        (0, False), (300, False), (repo_module._CHUNK, False), (repo_module._CHUNK + 1, True),
+    ])
+    @pytest.mark.parametrize("online", [True, False], ids=["online", "offline"])
+    def test_cached_read_waits_only_beyond_one_chunk(self, tmp_path, size, waits, online):
+        bases = ("https://repo.example.org/maven2",) if online else ()
+        client = self.client(tmp_path, *bases)
+        self.place(client, size)
+        assert client.read_waits("local", GSON) is waits
+        # classified and typed files are looked up at their own paths
+        assert client.read_waits("local", GSON, "jar", "sources") is online
+        assert client.read_waits("local", GSON, "war") is online
+
+    def test_uncached_read_waits_when_it_fills(self, tmp_path):
+        assert self.client(tmp_path, "file:remote").read_waits("local", GSON) is True
+        assert self.client(tmp_path).read_waits("local", GSON) is False  # offline: fails
+
+    def test_a_directory_at_the_cached_path_is_not_cached(self, tmp_path):
+        client = self.client(tmp_path, "file:remote")
+        (client.config.local_repo_root / artifact_rel_path(GSON)).mkdir(parents=True)
+        assert client.read_waits("local", GSON) is True
+
+
 class TestVersionListing:
     def test_sorted_ascending(self, repo):
         builder, client = repo
