@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "machine"), default="text")
     common.add_argument("--workers", type=_worker_count, default=4, metavar="N",
                         help="threads that run the reads that wait (cache fills, "
-                             "network fetches, hashes of files over 1 MiB) while "
+                             "network fetches, cached files over 128 KiB) while "
                              "resolution, comparison and small reads run on the main "
                              "thread; never multiplied, and no output depends on it")
     common.add_argument("--env-os", metavar="NAME", help="override probed OS name")

@@ -152,5 +152,5 @@ def validate(modules: list[ProjectModule], lockfiles: list[Lockfile | None],
             return ValidationReport(module.gav, findings, notes=list(tree.warnings))
 
     outcomes = read_ahead(pairs, prepare, lambda read: current_digest(session, *read),
-                          lambda read: session.read_waits(read[0], *read[1]), workers)
+                          lambda read: session.repo.read_waits(read[0], *read[1]), workers)
     return [report(module, lock, outcome) for (module, lock), outcome in zip(pairs, outcomes)]

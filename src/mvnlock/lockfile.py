@@ -221,7 +221,7 @@ def _resolve_and_hash(poms: list[EffectivePom], config: LockfileConfig, session,
         return tree, _checksum_jobs(tree, _plugin_gavs(pom, config))
 
     return read_ahead(poms, prepare, lambda job: _fetch_checksum(session, config, job),
-                      lambda job: session.read_waits(config.checksum_mode, *job), workers)
+                      lambda job: session.repo.read_waits(config.checksum_mode, *job), workers)
 
 
 def generate_lockfile(module_pom: EffectivePom, config: LockfileConfig,

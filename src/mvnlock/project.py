@@ -80,8 +80,8 @@ class Pool:
     """The command's one set of worker threads: at most ``workers``, started as work arrives.
 
     Threads here only wait: a call is queued only when it fills the cache,
-    fetches over the network or hashes a file larger than one chunk (see
-    ``read_ahead``). Resolution, comparison and every small read stay on the
+    fetches over the network or reads a cached file larger than 128 KiB
+    (``MavenRepository.read_waits``). Resolution, comparison and every small read stay on the
     calling thread, where they finish faster than they could be handed to a
     thread and back. ``submit`` is the one way in: it queues a call and
     returns at once, and the call keeps its own outcome, in a ``Session``

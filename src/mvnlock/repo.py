@@ -48,6 +48,9 @@ _SOURCE_SUFFIX = ".source"
 _SHARED_DIR = ".mvnlock"  # in the cache root: one file per base that its sidecars link to
 _MISSING = (FileNotFoundError, IsADirectoryError, NotADirectoryError)
 _CHUNK = 1 << 20  # files are opened unbuffered, so each read is one syscall of this size
+# a cached file up to this size is read and hashed faster on the calling thread
+# than on the pool; larger ones hash in parallel there (measured: CHANGES.md)
+_READ_HERE_MAX = 128 << 10
 _TEMP_IDS = itertools.count()  # with the pid, names a temp file no other writer uses
 
 
@@ -322,19 +325,16 @@ class MavenRepository:
 
     # --- public operations ---
 
-    def is_cached(self, gav: Gav, packaging: str = "jar") -> bool:
-        """Whether the artifact is in the local cache, so reading it fetches nothing."""
-        return (self.config.local_repo_root / artifact_rel_path(gav, packaging)).is_file()
-
     def read_waits(self, mode: str, gav: Gav, packaging: str = "jar",
                    classifier: str | None = None) -> bool:
-        """Whether reading the artifact's digest in ``mode`` can wait, so it is worth a thread.
+        """Whether reading the artifact in ``mode`` can wait, so it is worth a thread.
 
         A remote read waits when some base is not a ``file:`` URL on this
-        host. A local read waits when it fills the cache, or hashes a cached
-        file larger than one chunk, which releases the GIL for long stretches.
-        Any other read is a small file read, over before a thread would start.
-        Only the config and the cache are consulted, never a remote.
+        host. A local read waits when it fills the cache, or reads a cached
+        file larger than ``_READ_HERE_MAX``, whose hashing releases the GIL.
+        Any other read is a small file read, over before a thread would
+        start; offline, a read of an uncached file fails at once. Only the
+        config and the cache are consulted, never a remote.
         """
         if mode == "remote":
             return any(_local_path(base) is None for base in self.config.remote_base_urls)
@@ -344,8 +344,8 @@ class MavenRepository:
         except OSError:
             cached = None
         if cached is None or not stat.S_ISREG(cached.st_mode):
-            return not self.config.offline  # a fill; offline, the read fails at once
-        return cached.st_size > _CHUNK
+            return not self.config.offline
+        return cached.st_size > _READ_HERE_MAX
 
     def fetch_pom(self, gav: Gav) -> str:
         try:

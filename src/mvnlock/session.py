@@ -13,9 +13,9 @@ computes it into a cell, holding the cell's lock until its outcome is set;
 concurrent callers asking for the same key wait on that lock instead of
 fetching again, and receive its result, or its exception, which thereby
 reaches every one of them. The session starts no threads: ``prefetch`` hands
-a manifest the cache lacks to the caller's ``Pool``, whose thread fills the
-cell the resolver reads later, and generate and validate queue their
-checksums there the same way when one of them waits (``read_waits``). The
+a manifest whose read waits (``repo.read_waits``) to the caller's ``Pool``,
+whose thread fills the cell the resolver reads later, and generate and
+validate queue their checksums there the same way when one of them waits. The
 cell, not the pool, is where every outcome of pool work is kept: the pool
 thread drops what the call raised, and the caller that reads the key next
 raises it, in its own order.
@@ -96,21 +96,17 @@ class Session:
                                                 parent_loader=self.pom_model))
 
     def prefetch(self, gav: Gav, pool) -> None:
-        """Load ``gav``'s effective model on ``pool`` if its manifest is not cached yet.
+        """Load ``gav``'s effective model on ``pool`` if reading its manifest waits.
 
-        Only a read that waits is worth a thread, and for a manifest that is
-        a fetch; a cached manifest is read and parsed on the caller's thread
-        when it asks for the model. A failure stays in the cell, so the
-        caller that asks next receives it.
+        The rule is the one for every read (``repo.read_waits``): a manifest
+        that must be fetched, or a cached one over its size limit, goes to a
+        thread; any other is read and parsed on the caller's thread when it
+        asks for the model. A failure stays in the cell, so the caller that
+        asks next receives it.
         """
         if (("effective_model", gav) not in self._results
-                and not self.repo.is_cached(gav, "pom")):
+                and self.repo.read_waits("local", gav, "pom")):
             pool.submit(lambda: self.effective_model(gav))
-
-    def read_waits(self, mode: str, gav: Gav, packaging: str = "jar",
-                   classifier: str | None = None) -> bool:
-        """Whether reading the artifact's digest in ``mode`` waits; see ``repo.read_waits``."""
-        return self.repo.read_waits(mode, gav, packaging, classifier)
 
     # --- provenance and checksums ---
 

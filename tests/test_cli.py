@@ -1061,11 +1061,11 @@ class TestReadAheadThreads:
     @pytest.mark.parametrize("mode", ["local", "remote"])
     @pytest.mark.parametrize("case", ["big", "uncached"])
     def test_one_read_that_waits_pools_every_read(self, tmp_path, calls, case, mode, workers):
-        from mvnlock.repo import _CHUNK
+        from mvnlock.repo import _READ_HERE_MAX
 
         fixture = build_aggregator(tmp_path)
         if case == "big":
-            fixture.repo.add("org.acme", "text", "1.0", jar=b"j" * (_CHUNK + 1))
+            fixture.repo.add("org.acme", "text", "1.0", jar=b"j" * (_READ_HERE_MAX + 1))
         assert run(fixture, "generate", "--lockfile-name", "fill.json") == 0  # caches every jar
         assert run(fixture, "generate", "--checksum-mode", mode) == 0
         if case == "uncached":

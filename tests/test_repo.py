@@ -193,7 +193,7 @@ class TestChecksums:
 
 
 class TestReadWaits:
-    """``read_waits``: whether a digest read is worth a thread, from the config and cache only."""
+    """``read_waits``: whether a read is worth a thread, from the config and cache only."""
 
     def client(self, tmp_path, *bases):
         return MavenRepository(RepositoryConfig(remote_base_urls=bases,
@@ -208,8 +208,8 @@ class TestReadWaits:
         monkeypatch.setattr(socket.socket, "connect", refused)
         monkeypatch.setattr(socket, "getaddrinfo", refused)
 
-    def place(self, client, size: int, gav: Gav = GSON) -> None:
-        path = client.config.local_repo_root / artifact_rel_path(gav)
+    def place(self, client, size: int, gav: Gav = GSON, packaging: str = "jar") -> None:
+        path = client.config.local_repo_root / artifact_rel_path(gav, packaging)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(b"j" * size)
 
@@ -230,10 +230,11 @@ class TestReadWaits:
         assert self.client(tmp_path).read_waits("remote", GSON) is False
 
     @pytest.mark.parametrize("size, waits", [
-        (0, False), (300, False), (repo_module._CHUNK, False), (repo_module._CHUNK + 1, True),
+        (0, False), (300, False), (repo_module._READ_HERE_MAX, False),
+        (repo_module._READ_HERE_MAX + 1, True), (repo_module._CHUNK + 1, True),
     ])
     @pytest.mark.parametrize("online", [True, False], ids=["online", "offline"])
-    def test_cached_read_waits_only_beyond_one_chunk(self, tmp_path, size, waits, online):
+    def test_cached_read_waits_only_beyond_the_size_limit(self, tmp_path, size, waits, online):
         bases = ("https://repo.example.org/maven2",) if online else ()
         client = self.client(tmp_path, *bases)
         self.place(client, size)
@@ -241,6 +242,14 @@ class TestReadWaits:
         # classified and typed files are looked up at their own paths
         assert client.read_waits("local", GSON, "jar", "sources") is online
         assert client.read_waits("local", GSON, "war") is online
+
+    @pytest.mark.parametrize("size, waits", [(300, False), (repo_module._READ_HERE_MAX + 1, True)])
+    def test_a_manifest_follows_the_same_rule(self, tmp_path, size, waits):
+        client = self.client(tmp_path, "file:remote")
+        assert client.read_waits("local", GSON, "pom") is True
+        self.place(client, size, packaging="pom")
+        assert client.read_waits("local", GSON, "pom") is waits
+        assert client.read_waits("local", GSON) is True  # the jar is not cached
 
     def test_uncached_read_waits_when_it_fills(self, tmp_path):
         assert self.client(tmp_path, "file:remote").read_waits("local", GSON) is True

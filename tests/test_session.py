@@ -11,11 +11,11 @@ import pytest
 
 from conftest import FIXTURE_BUILDERS, RepoBuilder, build_aggregator, dep_xml, pom_xml
 from mvnlock.cli import main
-from mvnlock.errors import NotFoundError
+from mvnlock.errors import NotFoundError, OfflineError
 from mvnlock.lockfile import LockfileConfig, generate_all, generate_lockfile, serialize
 from mvnlock.pom import Gav
 from mvnlock.project import load_project
-from mvnlock.repo import MavenRepository
+from mvnlock.repo import _READ_HERE_MAX, MavenRepository, RepositoryConfig
 from mvnlock.session import Session
 
 REPO_METHODS = ("list_versions", "fetch_pom", "source_of", "checksum_local",
@@ -246,3 +246,46 @@ def test_shared_failure_exits_two_naming_artifact(tmp_path, capsys):
     assert "org.s:shared:1.5" in err
     assert not (project / "a" / "lockfile.json").exists()
     assert not (project / "b" / "lockfile.json").exists()
+
+
+class RecordingPool:
+    def __init__(self):
+        self.calls = []
+
+    def submit(self, call):
+        self.calls.append(call)
+
+
+@pytest.mark.parametrize("cached, online, queued", [
+    ("none", True, True),      # a fill waits
+    ("small", True, False),    # parsed on the caller's thread when asked for
+    ("big", True, True),       # over the size limit: read on a thread
+    ("none", False, False),    # offline: fails at once on the caller's thread
+])
+def test_prefetch_queues_only_a_manifest_whose_read_waits(tmp_path, cached, online, queued):
+    remote = RepoBuilder(tmp_path / "remote")
+    remote.add("org.p", "lib", "1.0")
+    gav = Gav("org.p", "lib", "1.0")
+    cache = tmp_path / "cache"
+    if cached != "none":
+        pom = remote.artifact_path("org.p", "lib", "1.0", "pom")
+        text = pom.read_text(encoding="utf-8")
+        if cached == "big":  # a comment keeps the manifest valid
+            text = text.replace("<project", f"<!-- {'x' * _READ_HERE_MAX} -->\n<project", 1)
+        target = cache / "org" / "p" / "lib" / "1.0" / pom.name
+        target.parent.mkdir(parents=True)
+        target.write_text(text, encoding="utf-8")
+    session = Session(MavenRepository(RepositoryConfig(
+        local_repo_root=cache, remote_base_urls=(remote.url,) if online else ())))
+    pool = RecordingPool()
+    session.prefetch(gav, pool)
+    assert len(pool.calls) == int(queued)
+    for call in pool.calls:
+        call()
+    if cached == "none" and not online:
+        with pytest.raises(OfflineError, match="offline and not cached"):
+            session.effective_model(gav)
+    else:
+        assert session.effective_model(gav).artifact_id == "lib"
+    session.prefetch(gav, pool)  # a loaded model is never queued again
+    assert len(pool.calls) == int(queued)
