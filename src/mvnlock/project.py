@@ -81,15 +81,15 @@ class Pool:
 
     Threads here only wait: a call is queued only when it fills the cache,
     fetches over the network or reads a cached file larger than 128 KiB
-    (``MavenRepository.read_waits``). Resolution, comparison and every small read stay on the
-    calling thread, where they finish faster than they could be handed to a
-    thread and back. ``submit`` is the one way in: it queues a call and
-    returns at once, and the call keeps its own outcome, in a ``Session``
-    cell. A thread starts only when a call is queued, so a command that
-    queues nothing runs no thread besides its own, and even one worker is a
-    thread of its own. Leaving the ``with`` block lets every queued call
-    finish and joins every thread, so every outcome is in place once the
-    block is left.
+    (``MavenRepository.read_waits``). Resolution, comparison and every small
+    read stay on the calling thread, where they finish faster than they
+    could be handed to a thread and back. ``submit`` is the one way in: it
+    queues a call and returns at once, and the call keeps its own outcome,
+    in a ``Session`` cell. A thread starts only when a call is queued, so a
+    command that queues nothing runs no thread besides its own, and even one
+    worker is a thread of its own. Leaving the ``with`` block lets every
+    queued call finish and joins every thread, so every outcome is in place
+    once the block is left.
     """
 
     def __init__(self, workers: int):
