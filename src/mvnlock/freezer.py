@@ -4,24 +4,19 @@ The frozen manifest (pom.lockfile.xml) replaces every direct dependency
 version with the locked one and pins every transitive dependency in
 dependencyManagement with the locked version and scope. A build run against
 it reproduces the locked resolution even after the repositories move on.
+Those edits are spliced into the text of pom.xml, so the rest stays as written.
 """
 
 from __future__ import annotations
 
 import hashlib
-import xml.etree.ElementTree as ET
+import re
+from xml.parsers import expat
 
 from . import __version__
 from .errors import MvnlockError, StaleLockfileError
 from .lockfile import Lockfile, LockedDependency, iter_entries, serialize
-from .pom import (
-    PomModel,
-    _child_map,
-    _local_tag,
-    _substitute,
-    _text,
-    property_table,
-)
+from .pom import PomModel, property_table, substitute
 from .records import Record
 from .resolver import mediate_scope
 
@@ -86,123 +81,157 @@ def freeze(pom: PomModel, lockfile: Lockfile) -> FrozenPom:
 
 # --- XML emission ---
 
-
-def _dependency_children(parent: ET.Element | None) -> list[ET.Element]:
-    if parent is None:
-        return []
-    return [child for child in parent if _local_tag(child) == "dependency"]
+_DECLARATION = re.compile(rb"(?:\xef\xbb\xbf)?(?:<\?xml\s.*?\?>)?\s*", re.S)  # BOM too
+_START_TAG = re.compile(rb"""<(?:[^>"']|"[^"]*"|'[^']*')*>""")
+_SPACE = re.compile(rb"[ \t\r\n]*")
 
 
-def _qname(root_tag: str, name: str) -> str:
-    if root_tag.startswith("{"):
-        return root_tag.split("}")[0] + "}" + name
-    return name
+class _Element:
+    """An element of the manifest, placed by byte offsets into its UTF-8 text."""
+
+    __slots__ = ("name", "q", "start", "end", "children", "text")
+
+    def __init__(self, name: str, start: int):
+        self.name, self.q = name, name[:name.rfind(":") + 1]  # q: its prefix and ":", or ""
+        self.start = self.end = start  # end becomes expat's end offset: "</", or past "/>"
+        self.children: list[_Element] = []
+        self.text: list[str] = []  # its character data, in pieces
+
+    def child(self, local: str) -> _Element | None:
+        """The last child of that local name, the one parse_pom reads."""
+        return next((c for c in reversed(self.children) if c.name == c.q + local), None)
 
 
-def _pad(level: int) -> str:
-    return "\n" + "  " * level
+def _scan(data: bytes) -> _Element:
+    """The root of ``data``, read as UTF-8 whatever it declares, so offsets stay byte offsets."""
+    parser = expat.ParserCreate(encoding="UTF-8")
+    stack = [_Element("", 0)]
+
+    def start(name, attributes):
+        stack.append(_Element(name, parser.CurrentByteIndex))
+        stack[-2].children.append(stack[-1])
+
+    def end(name):
+        stack.pop().end = parser.CurrentByteIndex
+
+    parser.StartElementHandler, parser.EndElementHandler = start, end
+    parser.CharacterDataHandler = lambda chars: stack[-1].text.append(chars)
+    parser.Parse(data, True)
+    return stack[0].children[0]
 
 
-def _append_child(parent: ET.Element, tag: str, level: int) -> ET.Element:
-    """Append an element keeping two-space block formatting consistent."""
-    el = ET.Element(tag)
-    el.tail = _pad(level - 1)
-    if len(parent):
-        parent[-1].tail = _pad(level)
-    else:
-        parent.text = _pad(level)
-    parent.append(el)
-    return el
+def _escape(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _leaf(parent: ET.Element, qname: str, text: str, level: int) -> ET.Element:
-    el = _append_child(parent, qname, level)
-    el.text = text
-    return el
+def _block(items: list[str], level: int) -> str:
+    """Items at ``level``, two spaces a level, then the indent of their parent's end tag."""
+    return "".join(f"\n{'  ' * level}{item}" for item in items) + "\n" + "  " * (level - 1)
+
+
+def _new(q: str, name: str, level: int, body: str | list[str]) -> str:
+    """A new element at ``level`` holding text, or elements one level deeper."""
+    inner = _escape(body) if isinstance(body, str) else _block(body, level + 1)
+    return f"<{q}{name}>{inner}</{q}{name}>" if body else f"<{q}{name} />"
+
+
+def _dependency(q: str, level: int, group: str, artifact: str, version: str,
+                scope: str | None = None, exclusions: tuple = ()) -> str:
+    leaves = (("groupId", group), ("artifactId", artifact), ("version", version), ("scope", scope))
+    children = [_new(q, name, level + 1, text) for name, text in leaves if text is not None]
+    if exclusions:
+        children.append(_new(q, "exclusions", level + 1, [_new(q, "exclusion", level + 2, [
+            _new(q, "groupId", level + 3, g), _new(q, "artifactId", level + 3, a)])
+            for g, a in exclusions]))
+    return _new(q, "dependency", level, children)
 
 
 def emit_frozen_xml(frozen: FrozenPom) -> str:
-    """Render the frozen manifest: the original XML plus overrides and pins."""
+    """Render the frozen manifest: the text of its pom.xml with overrides and pins spliced in."""
     if frozen.base.source_xml is None:
         raise MvnlockError(
             f"cannot freeze {frozen.base.artifact_id}: its model was not parsed from a pom.xml"
         )
-    root = ET.fromstring(frozen.base.source_xml)
-    q = lambda name: _qname(root.tag, name)
+    data = frozen.base.source_xml.encode()
+    root = _scan(data)
+    table = property_table(frozen.base)  # generate's, so coordinates read here match the lock
+    edits: list[tuple[int, int, bytes]] = []  # (start, end, replacement) in data
+    removed: dict[int, int] = {}  # end -> start of a replaced entry and the whitespace after it
 
-    # generate's ${} table, so coordinates read here match the locked ones
-    table = property_table(frozen.base)
+    def set_content(element: _Element, content: str, begin: int | None = None) -> None:
+        # from begin (by default its start tag's end) to its end tag; <x/> gains an end tag
+        tag_end = _START_TAG.match(data, element.start).end()
+        if data[tag_end - 2] != ord("/"):
+            edits.append((tag_end if begin is None else begin, element.end, content.encode()))
+        else:
+            opened = element.start + len(data[element.start:tag_end - 2].rstrip())
+            edits.append((opened, tag_end, f">{content}</{element.name}>".encode()))
 
-    def ga_of(children: dict[str, ET.Element]) -> tuple[str, str]:
-        return (_substitute(_text(children.get("groupId")) or "", table),
-                _substitute(_text(children.get("artifactId")) or "", table))
+    def append(parent: _Element, level: int, children: list[str]) -> None:
+        # new children take the whitespace before the end tag, and replaced entries up to it
+        begin = parent.end
+        while begin in removed or data[begin - 1] in b" \t\r\n":
+            begin = removed.pop(begin, begin - 1)
+        set_content(parent, _block(children, level), begin)
+
+    def dependencies(parent: _Element | None):
+        for dep in parent.children if parent else ():
+            if dep.name == dep.q + "dependency":
+                yield dep, tuple(substitute("".join(el.text).strip() if el else "", table)
+                                 for el in (dep.child("groupId"), dep.child("artifactId")))
 
     # replace direct dependency versions in place
-    deps_el = _child_map(root).get("dependencies")
+    deps_el = root.child("dependencies")
     present: set[tuple[str, str]] = set()
-    for dep in _dependency_children(deps_el):
-        children = _child_map(dep)
-        ga = ga_of(children)
+    for dep, ga in dependencies(deps_el):
         version = frozen.direct_overrides.get(ga)
         if version is None:
             continue
         present.add(ga)
-        version_el = children.get("version")
+        version_el = dep.child("version")
         if version_el is None:
-            _leaf(dep, q("version"), version, 3)
+            append(dep, 3, [_new(dep.q, "version", 3, version)])
         else:
-            version_el.text = version
+            set_content(version_el, _escape(version))
 
     # direct dependencies only visible through inheritance get declared outright
-    missing = [d for d in frozen.base.dependencies
+    new_root: list[str] = []  # the root's new children, appended in one edit
+    q = (deps_el or root).q
+    missing = [_dependency(q, 2, d.group_id, d.artifact_id, frozen.direct_overrides[d.ga],
+                           d.scope if d.scope_explicit else None, d.exclusions)
+               for d in frozen.base.dependencies
                if d.ga in frozen.direct_overrides and d.ga not in present]
-    if missing:
-        if deps_el is None:
-            deps_el = _append_child(root, q("dependencies"), 1)
-        for decl in missing:
-            dep_el = _append_child(deps_el, q("dependency"), 2)
-            _leaf(dep_el, q("groupId"), decl.group_id, 3)
-            _leaf(dep_el, q("artifactId"), decl.artifact_id, 3)
-            _leaf(dep_el, q("version"), frozen.direct_overrides[decl.ga], 3)
-            if decl.scope_explicit:
-                _leaf(dep_el, q("scope"), decl.scope, 3)
-            if decl.exclusions:
-                excl_el = _append_child(dep_el, q("exclusions"), 3)
-                for eg, ea in decl.exclusions:
-                    e = _append_child(excl_el, q("exclusion"), 4)
-                    _leaf(e, q("groupId"), eg, 5)
-                    _leaf(e, q("artifactId"), ea, 5)
+    if missing and deps_el is None:
+        new_root.append(_new(q, "dependencies", 1, missing))
+    elif missing:
+        append(deps_el, 2, missing)
 
-    # pin every transitive in dependencyManagement, overriding key collisions
-    dm_el = _child_map(root).get("dependencyManagement")
+    # pin every transitive in dependencyManagement, replacing entries for the same g:a
+    dm_el = root.child("dependencyManagement")
+    managed_el = dm_el and dm_el.child("dependencies")
+    q = (managed_el or dm_el or root).q
+    pins = [_dependency(q, 3, *pin) for pin in frozen.managed_pins]
     if dm_el is None:
-        dm_el = _append_child(root, q("dependencyManagement"), 1)
-    managed_el = _child_map(dm_el).get("dependencies")
-    if managed_el is None:
-        managed_el = _append_child(dm_el, q("dependencies"), 2)
-    pinned = {(g, a) for g, a, _, _ in frozen.managed_pins}
-    for existing in _dependency_children(managed_el):
-        if ga_of(_child_map(existing)) in pinned:
-            managed_el.remove(existing)
-    for group, artifact, version, scope in frozen.managed_pins:
-        dep_el = _append_child(managed_el, q("dependency"), 3)
-        _leaf(dep_el, q("groupId"), group, 4)
-        _leaf(dep_el, q("artifactId"), artifact, 4)
-        _leaf(dep_el, q("version"), version, 4)
-        _leaf(dep_el, q("scope"), scope, 4)
+        new_root.append(_new(q, "dependencyManagement", 1, [_new(q, "dependencies", 2, pins)]))
+    elif managed_el is None:
+        append(dm_el, 2, [_new(q, "dependencies", 2, pins)])
+    elif pins:
+        pinned = {(g, a) for g, a, _, _ in frozen.managed_pins}
+        for dep, ga in dependencies(managed_el):
+            if ga in pinned:  # it goes with the whitespace after it, as ElementTree's remove
+                removed[_SPACE.match(data, data.index(b">", dep.end) + 1).end()] = dep.start
+        append(managed_el, 3, pins)
+    if new_root:
+        append(root, 1, new_root)
 
+    pieces, position = [], root.start
+    for start, end, text in sorted(edits + [(s, e, b"") for e, s in removed.items()]):
+        pieces += (data[position:start], text)
+        position = end
+    prolog = data[_DECLARATION.match(data).end():root.start]  # comments before <project>
+    body = (prolog + b"".join(pieces) + data[position:data.index(b">", root.end) + 1]).decode()
     header = (
         f"<!-- generated by mvnlock {__version__}; "
         f"source lockfile sha256:{frozen.source_lockfile_digest} -->"
     )
-    namespace = root.tag[1:].split("}")[0] if root.tag.startswith("{") else None
-    for el in root.iter() if namespace else ():  # default_namespace refuses any name in none,
-        el.attrib = {k if k[:1] == "{" else f"{{{namespace}}}{k}": v for k, v in el.attrib.items()}
-    try:  # so attributes join the default one (still written unprefixed) and elements fail
-        body = ET.tostring(root, encoding="unicode", default_namespace=namespace)
-    except ValueError as exc:
-        raise MvnlockError(f"cannot freeze {frozen.base.artifact_id}: its pom.xml has an element "
-                           f"in no namespace inside the namespace {namespace}") from exc
-    if not body.endswith("\n"):
-        body += "\n"
-    return f'<?xml version="1.0" encoding="UTF-8"?>\n{header}\n{body}'
+    return f'<?xml version="1.0" encoding="UTF-8"?>\n{header}\n{body}\n'

@@ -369,7 +369,7 @@ def parse_pom(xml_text: str) -> PomModel:
 # --- property interpolation ---
 
 
-def _substitute(value: str, properties: dict[str, str]) -> str:
+def substitute(value: str, properties: dict[str, str]) -> str:
     for _ in range(_INTERPOLATION_DEPTH):
         tokens = _PROPERTY_RE.findall(value)
         if not tokens:
@@ -402,7 +402,7 @@ def property_table(model: PomModel) -> dict[str, str]:
     table = dict(model.properties)
     table.update(_builtin_properties(model))
     # property values themselves may reference other properties
-    table.update({name: _substitute(value, table) for name, value in model.properties.items()})
+    table.update({name: substitute(value, table) for name, value in model.properties.items()})
     return table
 
 
@@ -412,44 +412,44 @@ def interpolate_properties(model: PomModel) -> PomModel:
     resolved_props = {name: table[name] for name in model.properties}
 
     def sub(value: str | None) -> str | None:
-        return _substitute(value, table) if value is not None else None
+        return substitute(value, table) if value is not None else None
 
     def sub_decl(decl: DependencyDecl) -> DependencyDecl:
         spec = decl.version_spec
         if spec is not None:
-            new_text = _substitute(spec.text, table)
+            new_text = substitute(spec.text, table)
             if new_text != spec.text:
                 spec = parse_version_spec(new_text)
         return decl._replace(
-            group_id=_substitute(decl.group_id, table),
-            artifact_id=_substitute(decl.artifact_id, table),
+            group_id=substitute(decl.group_id, table),
+            artifact_id=substitute(decl.artifact_id, table),
             version_spec=spec,
             classifier=sub(decl.classifier),
             exclusions=tuple(
-                (_substitute(g, table), _substitute(a, table)) for g, a in decl.exclusions
+                (substitute(g, table), substitute(a, table)) for g, a in decl.exclusions
             ),
         )
 
     parent = model.parent
     if parent is not None:
         parent = Gav(
-            _substitute(parent.group_id, table),
-            _substitute(parent.artifact_id, table),
-            _substitute(parent.version, table),
+            substitute(parent.group_id, table),
+            substitute(parent.artifact_id, table),
+            substitute(parent.version, table),
         )
 
     return PomModel(
-        artifact_id=_substitute(model.artifact_id, table),
+        artifact_id=substitute(model.artifact_id, table),
         group_id=sub(model.group_id),
         version=sub(model.version),
-        packaging=_substitute(model.packaging, table),
+        packaging=substitute(model.packaging, table),
         parent=parent,
         properties=resolved_props,
         dependencies=[sub_decl(d) for d in model.dependencies],
         dependency_management=[sub_decl(d) for d in model.dependency_management],
         modules=list(model.modules),
         plugins=[
-            PluginDecl(_substitute(p.group_id, table), _substitute(p.artifact_id, table),
+            PluginDecl(substitute(p.group_id, table), substitute(p.artifact_id, table),
                        sub(p.version))
             for p in model.plugins
         ],

@@ -310,14 +310,16 @@ class MavenRepository:
         ``what`` names the coordinates of the file in a failure to fill it.
         """
         cached = self.config.local_repo_root / rel_path
-        if cached.is_file():
-            if digest is not None:
-                with open(cached, "rb", buffering=0) as handle:
-                    for _ in _chunks(handle, digest):
-                        pass
+        try:
+            handle = open(cached, "rb", buffering=0)
+        except _MISSING:  # a miss, a directory in its place included
+            if self.config.offline:
+                raise OfflineError(f"offline and not cached: {rel_path}") from None
+        else:
+            with handle:
+                for _ in _chunks(handle, digest) if digest is not None else ():
+                    pass
             return cached
-        if self.config.offline:
-            raise OfflineError(f"offline and not cached: {rel_path}")
         stream, base = self._fetch_remote(rel_path)
         with stream:
             return self._write_cache(rel_path, _download(stream, _url(base, rel_path), digest),
@@ -359,9 +361,10 @@ class MavenRepository:
         """Base URL the cached artifact came from, or 'local' if unknown."""
         cached = self.config.local_repo_root / artifact_rel_path(gav, packaging, classifier)
         marker = cached.parent / (cached.name + _SOURCE_SUFFIX)
-        if marker.is_file():
+        try:
             return marker.read_text(encoding="utf-8").strip()
-        return "local"
+        except _MISSING:
+            return "local"
 
     def checksum_local(self, gav: Gav, packaging: str = "jar", algorithm: str = "sha256",
                        classifier: str | None = None) -> ChecksumRecord:

@@ -1,9 +1,12 @@
+import hashlib
 import random
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from conftest import (
+    FIXTURE_BUILDERS,
     Fixture,
     RepoBuilder,
     build_diamond,
@@ -305,13 +308,14 @@ class TestEmitNamespaces:
                 ' child.project.url.inherit.append.path="false">') in out
         assert '<configuration combine.children="append"><x>1</x></configuration>' in out
 
-    def test_element_in_no_namespace_is_refused(self):
+    def test_element_in_no_namespace_is_kept(self):
         model = namespaced('<description xmlns="">no namespace</description>')
-        with pytest.raises(MvnlockError, match="^cannot freeze ns: its pom.xml has an element "
-                                               "in no namespace"):
-            emit_frozen_xml(frozen_of(model))
+        out = emit_frozen_xml(frozen_of(model))
+        assert '<description xmlns="">no namespace</description>' in out
+        (pin,) = parse_pom(out).dependency_management
+        assert pin.ga == ("org.d", "d")
 
-    def test_element_in_no_namespace_exits_two_naming_the_manifest(self, tmp_path, capsys):
+    def test_element_in_no_namespace_freezes_with_exit_zero(self, tmp_path, capsys):
         fixture = build_single(tmp_path)
         pom = fixture.project_root / "pom.xml"
         pom.write_text(pom.read_text(encoding="utf-8")
@@ -322,11 +326,10 @@ class TestEmitNamespaces:
                   "--local-repo", str(fixture.cache_root)]
         assert main(["generate", *common]) == 0
         capsys.readouterr()
-        assert main(["freeze", *common]) == 2
-        assert capsys.readouterr().err == (
-            "mvnlock: error: module .: cannot freeze app: its pom.xml has an element "
-            f"in no namespace inside the namespace {NS}\n")
-        assert not (fixture.project_root / "pom.lockfile.xml").exists()
+        assert main(["freeze", *common]) == 0
+        assert capsys.readouterr().err == ""
+        text = (fixture.project_root / "pom.lockfile.xml").read_text(encoding="utf-8")
+        assert '<description xmlns="">x</description>\n  <dependencyManagement>' in text
 
 
 class TestFreezeEquivalence:
@@ -439,3 +442,222 @@ class TestFreezeInheritedDirect:
         assert resolved_set(frozen, fixture.repository()) == locked_set(lock)
         child = load_project(project, fixture.repository())[1]
         assert resolved_set(child.effective, fixture.repository()) != locked_set(lock)
+
+
+INDENTED = f"""<?xml version="1.0" encoding="UTF-8"?>
+<project xmlns="{NS}" xmlns:xsi="{XSI}" xsi:schemaLocation="{NS} pom.xsd">
+  <modelVersion>4.0.0</modelVersion>
+  <groupId>g</groupId>
+  <artifactId>indented</artifactId>
+  <version>1.0</version>
+  <properties>
+    <lib.version>[1.0,2.0)</lib.version>
+  </properties>
+  <dependencyManagement>
+    <dependencies>
+      <dependency>
+        <groupId>org.m</groupId>
+        <artifactId>kept</artifactId>
+        <version>3.0</version>
+      </dependency>
+      <dependency>
+        <groupId>org.m</groupId>
+        <artifactId>pinned</artifactId>
+        <version>0.9</version>
+      </dependency>
+      <dependency>
+        <groupId>org.m</groupId>
+        <artifactId>also-kept</artifactId>
+        <version>3.0</version>
+      </dependency>
+      <dependency>
+        <groupId>org.m</groupId>
+        <artifactId>last</artifactId>
+        <version>0.9</version>
+      </dependency>
+    </dependencies>
+  </dependencyManagement>
+  <dependencies>
+    <dependency>
+      <groupId>org.x</groupId>
+      <artifactId>ranged</artifactId>
+      <version>${{lib.version}}</version>
+    </dependency>
+    <dependency>
+      <groupId>org.m</groupId>
+      <artifactId>kept</artifactId>
+    </dependency>
+  </dependencies>
+</project>
+"""
+
+
+def indented(direct: dict, pins: list) -> FrozenPom:
+    return FrozenPom(parse_pom(INDENTED), direct, pins, "0" * 64)
+
+
+def inheriting(own: bool) -> FrozenPom:
+    """A namespaced child whose parent declares a direct dependency with a scope and exclusion."""
+    parent = parse_pom(pom_xml("com.acme", "parent", "1.0", packaging="pom", deps=(
+        dep_xml("org.n", "ranged", "[1.0,2.0)", scope="runtime", exclusions=(("org.n", "x"),)),)))
+    child = parse_pom(pom_xml(
+        None, "child", None, parent=("com.acme", "parent", "1.0"),
+        deps=(dep_xml("org.n", "own", "1.0"),) if own else (),
+    ).replace("<project>", f'<project xmlns="{NS}">'))
+    model = effective_pom(child, parent_loader=lambda gav: parent)
+    direct = {("org.n", "ranged"): "1.5", **({("org.n", "own"): "1.0"} if own else {})}
+    return FrozenPom(model, direct, [("org.n", "x", "2.0", "runtime")], "0" * 64)
+
+
+# emit_frozen_xml's output on manifests whose text ElementTree wrote back
+# unchanged, recorded from the ElementTree-based emitter
+FROZEN_SHA256 = {
+    "aggregator/.": "3fa5b5cf41987cea932a0d8075e734daa9359e17b0f6ad1bca4d172cdcea00f0",
+    "aggregator/core": "f2671161be6a83d740fe2618a9fabebacf16e0063c84d670434688b212ba3692",
+    "aggregator/web": "bc3e7a93f7f76e88fc34fa27ff79307efd8cb6b78a34e088a12a37b3b5127b7e",
+    "diamond/.": "1b887672f0029d830d3057f4a720fec9f2935875136a1d504a1c11be46ba3026",
+    "dualpath/.": "195a210238f8426d2a8dc658b2eb50950db4ab575e009cf93427e5ae4c2f1124",
+    "ranges/.": "c56265ce35fefc19c1d6f1a4bd4d71b48fabe3d10dd18655b2e8043124579bfd",
+    "single/.": "aee61207fdbb9123c7a62e79f59546e4b74ba458a8ce81b59b33905ca30c7d0d",
+    "flat-managed": "6fa4b2b8263d6cbc1b5b6cc5a343066fb451f52ea03a5d5ee2b0b7810c00a0c6",
+    "indented": "b9785bdddee6fea18ad9e6f2d611c8ad155e1322010225510c5c1bb771496da3",
+    "indented-zero-pins": "71a9011330395123125a3f755ff83ec4c0b696cf02e5685ffc2b15cb4bbba841",
+    "inherited-into-own": "3c8226cb5e1e29d3805729364d1b96a521efc616953bfc8dc11b02a10c5391c6",
+    "inherited-no-dependencies": "7ff8273258bf72d437d1979ff470d49fb8fa553fb5d3fb1f3fa680ac1b675a9e",
+    "namespaced": "b0a131cad75cf7b34c63be6b96665c1c36ffd0f3b7dcc41fc5f82377710dabf7",
+    "namespaced-attributes": "a3f39fe8d4f08beb114c6e4268c145d88359546ad7d1a7f2faf80bac3c920b3a",
+    "repeated-blocks": "0ea30d91f736d8fefd4f7e61e163ba79fdf5929daa1a8efee3e2d9a84c5cdb36",
+    "self-closing-managed": "3430410a8d1be55df0c2da520777c71039399c10775580bdf72cb00346d5443b",
+}
+
+MANIFESTS = {
+    "namespaced": lambda: frozen_of(namespaced()),
+    "namespaced-attributes": lambda: frozen_of(namespaced(
+        '<build><plugins><plugin><artifactId>p</artifactId><version>1</version>'
+        '<configuration combine.children="append"><x>1</x></configuration>'
+        '</plugin></plugins></build>',
+        f' xmlns:xsi="{XSI}" xsi:schemaLocation="{NS} pom.xsd"')),
+    "indented": lambda: indented(
+        {("org.x", "ranged"): "1.5", ("org.m", "kept"): "3.0"},
+        [("org.m", "last", "1.0", "runtime"), ("org.m", "pinned", "1.0", "compile"),
+         ("org.z", "a&b", "1.0", "test")]),
+    "indented-zero-pins": lambda: indented({("org.x", "ranged"): "1.5"}, []),
+    "flat-managed": lambda: FrozenPom(parse_pom(pom_xml(
+        "g", "managed", "1.0",
+        dm=(dep_xml("org.d", "d", "0.9"), dep_xml("org.d", "e", "0.9")),
+        deps=(dep_xml("org.d", "f"),))),
+        {("org.d", "f"): "2.0"}, [("org.d", "d", "1.0", "compile")], "0" * 64),
+    "self-closing-managed": lambda: frozen_of(namespaced(
+        "<dependencyManagement>\n  <dependencies />\n</dependencyManagement>\n")),
+    "repeated-blocks": lambda: FrozenPom(parse_pom(pom_xml(  # parse_pom reads the last ones
+        "g", "repeated", "1.0", deps=(dep_xml("org.x", "y", "0.9").replace(
+            "</version>", "</version><version>[1,2)</version>"),)).replace(
+        "<dependencies>", f"<dependencies>{dep_xml('org.x', 'y', '0.1')}</dependencies>\n"
+                          "<dependencies>")),
+        {("org.x", "y"): "1.5"}, [], "0" * 64),
+    "inherited-into-own": lambda: inheriting(own=True),
+    "inherited-no-dependencies": lambda: inheriting(own=False),
+}
+
+
+def emitted_sha256(frozen: FrozenPom) -> str:
+    return hashlib.sha256(emit_frozen_xml(frozen).encode("utf-8")).hexdigest()
+
+
+class TestFrozenBytes:
+    @pytest.mark.parametrize("name", sorted(FIXTURE_BUILDERS))
+    def test_fixture_modules(self, name, tmp_path):
+        fixture = FIXTURE_BUILDERS[name](tmp_path)
+        repo = fixture.repository()
+        for module in load_project(fixture.project_root, repo):
+            frozen = freeze(module.effective,
+                            generate_lockfile(module.effective, LockfileConfig(), repo))
+            frozen.source_lockfile_digest = "0" * 64
+            assert emitted_sha256(frozen) == FROZEN_SHA256[f"{name}/{module.rel_path}"]
+
+    @pytest.mark.parametrize("name", sorted(MANIFESTS))
+    def test_manifests(self, name):
+        assert emitted_sha256(MANIFESTS[name]()) == FROZEN_SHA256[name]
+
+
+HEADER = ('<?xml version="1.0" encoding="UTF-8"?>\n<!-- generated by mvnlock '
+          f'{mvnlock.freezer.__version__}; source lockfile sha256:{"0" * 64} -->\n')
+
+
+def emit(xml: str, direct: dict | None = None, pins: tuple = ()) -> str:
+    return emit_frozen_xml(FrozenPom(parse_pom(xml), direct or {}, list(pins), "0" * 64))
+
+
+class TestEmitKeepsText:
+    PIN = ("org.d", "d", "1.0", "compile")
+
+    def test_licence_comment_before_project_follows_the_header(self):
+        xml = ('<?xml version="1.0" encoding="ISO-8859-1"?>\n<!-- Licensed under the\n'
+               '     Apache License -->\n' + pom_xml("g", "a", "1.0").split("\n", 1)[1])
+        out = emit(xml, pins=(self.PIN,))
+        assert out.startswith(HEADER + "<!-- Licensed under the\n     Apache License -->\n"
+                              "<project>\n<modelVersion>")
+
+    def test_byte_order_mark_and_declaration_are_replaced(self):
+        xml = "\ufeff" + pom_xml("g", "a", "1.0").replace('"UTF-8"', '"ISO-8859-1"')
+        assert emit(xml) == emit(pom_xml("g", "a", "1.0"))
+        assert emit(xml).startswith(HEADER + "<project>")
+
+    def test_comments_in_dependencies_and_management_survive(self):
+        xml = pom_xml(
+            "g", "a", "1.0",
+            dm=("<!-- managed: keep -->", dep_xml("org.d", "d", "0.9"), "<!-- between -->",
+                dep_xml("org.d", "e", "0.9"), "<!-- last -->"),
+            deps=("<!-- direct -->", dep_xml("org.x", "y", "[1,2)"), "<!-- trailing -->"))
+        out = emit(xml, {("org.x", "y"): "1.5"}, (self.PIN,))
+        for comment in ("managed: keep", "between", "last", "direct", "trailing"):
+            assert f"<!-- {comment} -->" in out
+        assert ("<dependencyManagement><dependencies><!-- managed: keep --><!-- between -->"
+                "<dependency><groupId>org.d</groupId><artifactId>e</artifactId>") in out
+        assert "<!-- last -->\n      <dependency>\n        <groupId>org.d</groupId>" in out
+        assert ("<!-- direct --><dependency><groupId>org.x</groupId><artifactId>y</artifactId>"
+                "<version>1.5</version></dependency><!-- trailing -->") in out
+        (pin,) = parse_pom(out).dependency_management[1:]
+        assert (pin.ga, pin.version_spec.pin) == (("org.d", "d"), "1.0")
+
+    def test_cdata_references_and_attributes_are_written_as_read(self):
+        kept = ("<description><![CDATA[a < b && c]]> &amp; &#169; &#x41; &lt;x&gt; &ver;"
+                "</description>\n<build><plugins><plugin><artifactId>p</artifactId>"
+                """<configuration z='1' a="2"  m = "&quot;>"><x/></configuration>"""
+                "</plugin></plugins></build>\n")
+        xml = (pom_xml("g", "a", "1.0").replace("<project>", '<!DOCTYPE project [\n'
+                                                '  <!ENTITY ver "2.0">\n]>\n<project>')
+               .replace("</project>", kept + "</project>"))
+        out = emit(xml, pins=(self.PIN,))
+        assert out.startswith(HEADER + '<!DOCTYPE project [\n  <!ENTITY ver "2.0">\n]>\n<project>')
+        assert kept in out
+        assert parse_pom(out).dependency_management[0].ga == ("org.d", "d")
+
+    def test_prefixed_elements_take_the_prefix_and_read_back(self):
+        xml = re.sub(r"<(/?)(?=\w)", r"<\1pom:", pom_xml("g", "a", "1.0", deps=(
+            dep_xml("org.x", "y"),))).replace("<pom:project>", f'<pom:project xmlns:pom="{NS}">')
+        out = emit(xml, {("org.x", "y"): "1.5"}, (self.PIN,))
+        assert "<pom:artifactId>y</pom:artifactId>\n      <pom:version>1.5</pom:version>" in out
+        assert "  <pom:dependencyManagement>\n    <pom:dependencies>\n" in out
+        assert not re.search(r"</?(?!pom:)\w", out.partition("-->\n")[2])  # every tag prefixed
+        frozen = parse_pom(out)
+        assert frozen.dependencies[0].version_spec.pin == "1.5"
+        (pin,) = frozen.dependency_management
+        assert (pin.ga, pin.version_spec.pin, pin.scope) == (("org.d", "d"), "1.0", "compile")
+
+    def test_self_closing_version_and_parent_are_opened(self):
+        xml = pom_xml("g", "a", "1.0", deps=(dep_xml("org.x", "y", "1.0"),)).replace(
+            "<version>1.0</version></dependency>", '<version comment="x"/></dependency>'
+        ).replace("<dependencies>", "<dependencyManagement><dependencies/></dependencyManagement>"
+                                    "<dependencies>")
+        out = emit(xml, {("org.x", "y"): "1.5"}, (self.PIN,))
+        assert '<version comment="x">1.5</version>' in out
+        assert "<dependencyManagement><dependencies>\n      <dependency>" in out
+        assert parse_pom(out).dependency_management[0].ga == ("org.d", "d")
+
+    def test_zero_pins_add_an_empty_management_block(self):
+        # a known gap: a module with nothing to pin still gets the empty block
+        out = emit(pom_xml("g", "flat", "1.0"))
+        assert out == HEADER + pom_xml("g", "flat", "1.0").split("\n", 1)[1].replace(
+            "\n</project>", "\n  <dependencyManagement>\n    <dependencies />\n"
+                            "  </dependencyManagement>\n</project>") + "\n"

@@ -565,6 +565,16 @@ class TestCacheCoherence:
             after = client.checksum_local(GSON).digest
             assert after != before
 
+    def test_directory_in_the_cache_is_a_miss(self, tmp_path):
+        offline = MavenRepository(RepositoryConfig(remote_base_urls=(),
+                                                   local_repo_root=tmp_path / "cache"))
+        jar = offline.config.local_repo_root / artifact_rel_path(GSON)
+        jar.mkdir(parents=True)
+        (jar.parent / (jar.name + ".source")).mkdir()
+        with pytest.raises(NotFoundError, match=f"^offline and not cached: {GSON}$"):
+            offline.checksum_local(GSON)
+        assert offline.source_of(GSON) == "local"
+
 
 class TestTransport:
     def test_cli_import_loads_no_network_stack(self):
@@ -625,11 +635,13 @@ class TestTransport:
 
     def test_read_error_is_transport_error_naming_url(self, single_fixture, monkeypatch,
                                                       capsys):
-        # tests may run as root, where chmod cannot make a file unreadable
+        # tests may run as root, where chmod cannot make a file unreadable; only the
+        # remote copy fails, so the cache still sees a plain miss
         real_open = open
+        remote = str(single_fixture.repo.root)
 
         def failing_open(file, *args, **kwargs):
-            if str(file).endswith(".jar"):
+            if str(file).endswith(".jar") and str(file).startswith(remote):
                 raise PermissionError(13, "Permission denied", file)
             return real_open(file, *args, **kwargs)
 
