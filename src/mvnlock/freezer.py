@@ -42,6 +42,9 @@ def scope_for_pin(ga: tuple[str, str], forest: list[LockedDependency]) -> str:
     test must never leak onto an artifact that any non-test path needs, so a
     pin is test-scoped only when every occurrence in the forest is; otherwise
     the highest-precedence non-test scope wins (compile > runtime > provided).
+    ``freeze`` does not call it: it uses each entry's recorded scope, which
+    generate mediated by the same rule. Only tests and the acceptance gates
+    call it, to check that rule on a forest.
     """
     scopes = [entry.scope for entry in iter_entries(forest) if entry.ga == ga]
     if not scopes:
@@ -148,13 +151,15 @@ def _dependency(q: str, level: int, group: str, artifact: str, version: str,
 
 def emit_frozen_xml(frozen: FrozenPom) -> str:
     """Render the frozen manifest: the text of its pom.xml with overrides and pins spliced in."""
-    if frozen.base.source_xml is None:
+    base = frozen.base
+    if base.source_xml is None:
         raise MvnlockError(
-            f"cannot freeze {frozen.base.artifact_id}: its model was not parsed from a pom.xml"
+            f"cannot freeze {base.artifact_id}: its model was not parsed from a pom.xml"
         )
-    data = frozen.base.source_xml.encode()
+    data = base.source_xml.encode()
     root = _scan(data)
-    table = property_table(frozen.base)  # generate's, so coordinates read here match the lock
+    table = property_table(base.properties, base.group_id, base.artifact_id, base.version,
+                           base.parent)  # generate's, so coordinates read here match the lock
     edits: list[tuple[int, int, bytes]] = []  # (start, end, replacement) in data
     removed: dict[int, int] = {}  # end -> start of a replaced entry and the whitespace after it
 
@@ -199,7 +204,7 @@ def emit_frozen_xml(frozen: FrozenPom) -> str:
     q = (deps_el or root).q
     missing = [_dependency(q, 2, d.group_id, d.artifact_id, frozen.direct_overrides[d.ga],
                            d.scope if d.scope_explicit else None, d.exclusions)
-               for d in frozen.base.dependencies
+               for d in base.dependencies
                if d.ga in frozen.direct_overrides and d.ga not in present]
     if missing and deps_el is None:
         new_root.append(_new(q, "dependencies", 1, missing))

@@ -4,6 +4,13 @@ The parser covers the subset the toolkit resolves: coordinates, parent,
 properties, dependencies (scope/optional/exclusions/type/classifier),
 dependencyManagement, modules, and plugin coordinates. Profiles, build
 extensions, and BOM import are rejected loudly rather than resolved wrong.
+
+``parse_pom`` keeps a manifest as written, ``${}`` references included.
+``effective_pom`` is where interpolation happens, in one pass: it walks the
+parent chain, merges properties, dependencies and management, builds the
+``${}`` table once with ``property_table`` (which freeze reads coordinates
+with too), and constructs a model whose fields are already substituted and
+whose managed versions are filled. No model is changed once constructed.
 """
 
 from __future__ import annotations
@@ -383,78 +390,30 @@ def substitute(value: str, properties: dict[str, str]) -> str:
     return value
 
 
-def _builtin_properties(model: PomModel) -> dict[str, str]:
-    builtins = {}
-    if model.group_id:
-        builtins["project.groupId"] = model.group_id
-    builtins["project.artifactId"] = model.artifact_id
-    if model.version:
-        builtins["project.version"] = model.version
-    return builtins
-
-
-def property_table(model: PomModel) -> dict[str, str]:
-    """The ${...} table of a model, shared by interpolation and frozen-XML output.
-
-    The model's own entries (inherited ones included, once merged) shadow the
-    project.* built-ins. Declared values are themselves resolved.
-    """
-    table = dict(model.properties)
-    table.update(_builtin_properties(model))
-    # property values themselves may reference other properties
-    table.update({name: substitute(value, table) for name, value in model.properties.items()})
-    return table
-
-
-def interpolate_properties(model: PomModel) -> PomModel:
-    """Replace ${...} references everywhere in the model, up to a fixed depth."""
-    table = property_table(model)
-    resolved_props = {name: table[name] for name in model.properties}
-
-    def sub(value: str | None) -> str | None:
-        return substitute(value, table) if value is not None else None
-
-    def sub_decl(decl: DependencyDecl) -> DependencyDecl:
-        spec = decl.version_spec
-        if spec is not None:
-            new_text = substitute(spec.text, table)
-            if new_text != spec.text:
-                spec = parse_version_spec(new_text)
-        return decl._replace(
-            group_id=substitute(decl.group_id, table),
-            artifact_id=substitute(decl.artifact_id, table),
-            version_spec=spec,
-            classifier=sub(decl.classifier),
-            exclusions=tuple(
-                (substitute(g, table), substitute(a, table)) for g, a in decl.exclusions
-            ),
-        )
-
-    parent = model.parent
+def _builtin_properties(group_id: str | None, artifact_id: str, version: str | None,
+                        parent: Gav | None) -> dict[str, str]:
+    builtins = {"project.groupId": group_id, "project.artifactId": artifact_id,
+                "project.version": version}
     if parent is not None:
-        parent = Gav(
-            substitute(parent.group_id, table),
-            substitute(parent.artifact_id, table),
-            substitute(parent.version, table),
-        )
+        builtins.update({"project.parent.groupId": parent.group_id,
+                         "project.parent.artifactId": parent.artifact_id,
+                         "project.parent.version": parent.version})
+    return {name: value for name, value in builtins.items() if value}
 
-    return PomModel(
-        artifact_id=substitute(model.artifact_id, table),
-        group_id=sub(model.group_id),
-        version=sub(model.version),
-        packaging=substitute(model.packaging, table),
-        parent=parent,
-        properties=resolved_props,
-        dependencies=[sub_decl(d) for d in model.dependencies],
-        dependency_management=[sub_decl(d) for d in model.dependency_management],
-        modules=list(model.modules),
-        plugins=[
-            PluginDecl(substitute(p.group_id, table), substitute(p.artifact_id, table),
-                       sub(p.version))
-            for p in model.plugins
-        ],
-        source_xml=model.source_xml,
-    )
+
+def property_table(properties: dict[str, str], group_id: str | None, artifact_id: str,
+                   version: str | None, parent: Gav | None) -> dict[str, str]:
+    """The ${...} table of a manifest, shared by effective_pom and frozen-XML output.
+
+    ``properties`` (inherited ones included, once merged) shadow the
+    project.* and project.parent.* built-ins that the coordinates and parent
+    give. Declared values are themselves resolved.
+    """
+    table = dict(properties)
+    table.update(_builtin_properties(group_id, artifact_id, version, parent))
+    # property values themselves may reference other properties
+    table.update({name: substitute(value, table) for name, value in properties.items()})
+    return table
 
 
 # --- effective model ---
@@ -467,7 +426,7 @@ def _merge_decls(child: list[DependencyDecl], parent: list[DependencyDecl]) -> l
 
 
 def effective_pom(model: PomModel, parent_loader=None) -> EffectivePom:
-    """Compute the effective model: parent merge, interpolation, management fill."""
+    """Compute the effective model in one pass: parent merge, interpolation, management fill."""
     chain = [model]
     seen: set[Gav] = set()
     current = model
@@ -499,14 +458,14 @@ def effective_pom(model: PomModel, parent_loader=None) -> EffectivePom:
         current = loaded
 
     # fold ancestors into the child, nearest ancestor last so the child wins
-    merged_props: dict[str, str] = {}
+    properties: dict[str, str] = {}
     for ancestor in reversed(chain):
-        merged_props.update(ancestor.properties)
-    merged_deps = chain[0].dependencies
-    merged_dm = chain[0].dependency_management
+        properties.update(ancestor.properties)
+    dependencies = chain[0].dependencies
+    management = chain[0].dependency_management
     for ancestor in chain[1:]:
-        merged_deps = _merge_decls(merged_deps, ancestor.dependencies)
-        merged_dm = _merge_decls(merged_dm, ancestor.dependency_management)
+        dependencies = _merge_decls(dependencies, ancestor.dependencies)
+        management = _merge_decls(management, ancestor.dependency_management)
 
     group = next((m.group_id for m in chain if m.group_id), None)
     version = next((m.version for m in chain if m.version), None)
@@ -515,18 +474,46 @@ def effective_pom(model: PomModel, parent_loader=None) -> EffectivePom:
             f"coordinates of {model.artifact_id} remain incomplete after inheritance"
         )
 
-    base = PomModel(model.artifact_id, group, version, model.packaging, model.parent,
-                    merged_props, merged_deps, merged_dm, model.modules, model.plugins,
-                    model.source_xml)
-    interpolated = interpolate_properties(base)
+    table = property_table(properties, group, model.artifact_id, version, model.parent)
+
+    def sub_decl(decl: DependencyDecl) -> DependencyDecl:
+        spec = decl.version_spec
+        if spec is not None:
+            new_text = substitute(spec.text, table)
+            if new_text != spec.text:
+                spec = parse_version_spec(new_text)
+        return decl._replace(
+            group_id=substitute(decl.group_id, table),
+            artifact_id=substitute(decl.artifact_id, table),
+            version_spec=spec,
+            classifier=None if decl.classifier is None else substitute(decl.classifier, table),
+            exclusions=tuple(
+                (substitute(g, table), substitute(a, table)) for g, a in decl.exclusions
+            ),
+        )
+
+    # fields are substituted in a fixed order: parent, coordinates, packaging,
+    # dependencies, management, plugins; the first unresolvable reference raises
+    parent = model.parent and Gav(*(substitute(field, table) for field in model.parent))
+    artifact_id = substitute(model.artifact_id, table)
+    group = substitute(group, table)
+    version = substitute(version, table)
+    packaging = substitute(model.packaging, table)
+    dependencies = [sub_decl(d) for d in dependencies]
+    management = [sub_decl(d) for d in management]
+    plugins = [
+        PluginDecl(substitute(p.group_id, table), substitute(p.artifact_id, table),
+                   None if p.version is None else substitute(p.version, table))
+        for p in model.plugins
+    ]
 
     # dependency management fills versions that direct dependencies omit
-    managed = {d.ga: d for d in interpolated.dependency_management}
-    filled = []
-    for decl in interpolated.dependencies:
-        if decl.version_spec is None and decl.ga in managed:
-            decl = decl._replace(version_spec=managed[decl.ga].version_spec)
-        filled.append(decl)
-    # interpolation built a new model, so the fill may change it in place
-    interpolated.dependencies = filled
-    return interpolated
+    managed = {d.ga: d.version_spec for d in management}
+    filled = [
+        d._replace(version_spec=managed[d.ga])
+        if d.version_spec is None and d.ga in managed else d
+        for d in dependencies
+    ]
+    return PomModel(artifact_id, group, version, packaging, parent,
+                    {name: table[name] for name in properties}, filled, management,
+                    list(model.modules), plugins, model.source_xml)

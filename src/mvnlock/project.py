@@ -7,7 +7,7 @@ import threading
 from pathlib import Path
 from typing import Callable
 
-from .errors import NotFoundError, ParentResolutionError, PomModelError
+from .errors import NotFoundError, ParentResolutionError, PomModelError, PropertyResolutionError
 from .pom import EffectivePom, Gav, PomModel, effective_pom, parse_pom
 from .records import Record
 from .session import session_of
@@ -70,8 +70,14 @@ def load_project(root: Path, repo=None) -> list[ProjectModule]:
             return session.pom_model(gav)
         raise ParentResolutionError(f"parent {gav} not found in project", gav)
 
+    def effective(rel: str, model: PomModel) -> EffectivePom:
+        try:
+            return effective_pom(model, parent_loader)
+        except PropertyResolutionError as exc:  # a cycle too; the class is kept
+            raise type(exc)(f"module {rel}: {exc}") from exc
+
     return [
-        ProjectModule(rel, directory, effective_pom(model, parent_loader))
+        ProjectModule(rel, directory, effective(rel, model))
         for rel, directory, model in raw
     ]
 

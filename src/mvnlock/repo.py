@@ -7,13 +7,13 @@ mirrors the remote layout so it can double as a pre-populated build cache.
 Every file the package writes goes through ``write_files`` (temp file, then
 rename). A cache fill streams from the source into that temp file in
 fixed-size chunks, so no run holds a whole artifact in memory, and a local
-checksum of a freshly filled artifact is taken from those chunks as they
-arrive instead of from a second read of the cached copy. Each cache fill
-records the serving base URL in a provenance sidecar so the recorded package
-source is stable across reruns. The sidecars of one base are hard links to
-one file under ``.mvnlock/`` in the cache, so a fill creates one new file,
-not two; where the file system refuses the link, a sidecar is a file of its
-own with the same text.
+checksum of a freshly filled artifact, like the text of a manifest, is taken
+from those chunks as they arrive instead of from a second read of the cached
+copy. Each cache fill records the serving base URL in a provenance sidecar
+so the recorded package source is stable across reruns. The sidecars of one
+base are hard links to one file under ``.mvnlock/`` in the cache, so a fill
+creates one new file, not two; where the file system refuses the link, a
+sidecar is a file of its own with the same text.
 """
 
 from __future__ import annotations
@@ -201,22 +201,22 @@ def _open(url: str, timeout: float) -> BinaryIO | None:
         raise
 
 
-def _chunks(stream: BinaryIO, digest=None) -> Iterable[bytes]:
-    """The stream's bytes in fixed-size chunks, each fed to ``digest`` if given."""
+def _chunks(stream: BinaryIO, sink=None) -> Iterable[bytes]:
+    """The stream's bytes in fixed-size chunks, each passed to ``sink`` if given."""
     for chunk in iter(lambda: stream.read(_CHUNK), b""):
-        if digest is not None:
-            digest.update(chunk)
+        if sink is not None:
+            sink(chunk)
         yield chunk
 
 
-def _download(stream: BinaryIO, url: str, digest=None) -> Iterable[bytes]:
+def _download(stream: BinaryIO, url: str, sink=None) -> Iterable[bytes]:
     """``_chunks`` of the stream fetched from url.
 
     A failed read, or a body that ends short of its length, raises
     ``TransportError`` naming the url.
     """
     try:
-        yield from _chunks(stream, digest)
+        yield from _chunks(stream, sink)
     except _transport_errors() as exc:
         raise TransportError(f"fetching {url}: {exc}") from exc
     # an http.client response whose Content-Length body is cut short reads as
@@ -302,28 +302,27 @@ class MavenRepository:
                 self._shared_sources[base] = shared
             return shared
 
-    def _ensure_cached(self, rel_path: str, what: str, digest=None) -> Path:
-        """The cached copy of rel_path, streamed in from a remote when missing.
+    def _ensure_cached(self, rel_path: str, what: str, sink=None) -> None:
+        """Make sure rel_path is cached, streaming it in from a remote when missing.
 
-        With ``digest``, every byte of that copy goes into it exactly once:
-        read back from the cache on a hit, or on its way in on a fill.
-        ``what`` names the coordinates of the file in a failure to fill it.
+        With ``sink``, every chunk of that copy is passed to it once, in order:
+        read from the cache on a hit, or on its way in on a fill, so the
+        caller never reads the copy again. ``what`` names the coordinates of
+        the file in a failure to find or fill it.
         """
-        cached = self.config.local_repo_root / rel_path
         try:
-            handle = open(cached, "rb", buffering=0)
+            handle = open(self.config.local_repo_root / rel_path, "rb", buffering=0)
         except _MISSING:  # a miss, a directory in its place included
             if self.config.offline:
-                raise OfflineError(f"offline and not cached: {rel_path}") from None
+                raise OfflineError(f"offline and not cached: {what}") from None
         else:
             with handle:
-                for _ in _chunks(handle, digest) if digest is not None else ():
+                for _ in _chunks(handle, sink) if sink is not None else ():
                     pass
-            return cached
+            return
         stream, base = self._fetch_remote(rel_path)
         with stream:
-            return self._write_cache(rel_path, _download(stream, _url(base, rel_path), digest),
-                                     base, what)
+            self._write_cache(rel_path, _download(stream, _url(base, rel_path), sink), base, what)
 
     # --- public operations ---
 
@@ -350,11 +349,13 @@ class MavenRepository:
         return cached.st_size > _READ_HERE_MAX
 
     def fetch_pom(self, gav: Gav) -> str:
+        """The manifest's text, read once, with newlines as a text-mode read gives them."""
+        chunks: list[bytes] = []
         try:
-            path = self._ensure_cached(artifact_rel_path(gav, packaging="pom"), str(gav))
+            self._ensure_cached(artifact_rel_path(gav, packaging="pom"), str(gav), chunks.append)
         except NotFoundError as exc:
             raise NotFoundError(str(exc), gav=gav) from exc
-        return path.read_text(encoding="utf-8")
+        return b"".join(chunks).decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
 
     def source_of(self, gav: Gav, packaging: str = "jar",
                   classifier: str | None = None) -> str:
@@ -375,9 +376,10 @@ class MavenRepository:
         """
         digest = hashlib.new(algorithm)
         try:
-            self._ensure_cached(artifact_rel_path(gav, packaging, classifier), str(gav), digest)
+            self._ensure_cached(artifact_rel_path(gav, packaging, classifier), str(gav),
+                                digest.update)
         except OfflineError as exc:
-            raise NotFoundError(f"offline and not cached: {gav}", gav=gav) from exc
+            raise NotFoundError(str(exc), gav=gav) from exc
         return ChecksumRecord(algorithm=algorithm, digest=digest.hexdigest(), mode="local")
 
     def checksum_remote(self, gav: Gav, packaging: str = "jar", algorithm: str = "sha256",

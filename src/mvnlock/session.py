@@ -3,10 +3,12 @@
 A command resolves many modules, and their dependency graphs overlap. A
 ``Session`` sits above any repository handle (``MavenRepository``, or any
 object with the same methods) and memoizes, for the whole run, version
-listings per (group, artifact), manifest text plus its parsed and effective
-models per ``Gav``, and provenance and checksums per artifact and algorithm.
-All modules therefore read one snapshot of the repository: a version
-published while the run is in progress is seen by none of them or by all.
+listings per (group, artifact), two models per manifest ``Gav``, and
+provenance and checksums per artifact and algorithm. The models are the
+parsed one, read from text fetched once and not kept, and the effective
+one, interpolated by ``effective_pom``. All modules therefore read one
+snapshot of the repository: a version published while the run is in
+progress is seen by none of them or by all.
 
 Each key is computed single-flight. The first caller asking for a key
 computes it into a cell, holding the cell's lock until its outcome is set;
@@ -82,12 +84,9 @@ class Session:
                             lambda: tuple(self.repo.list_versions(group_id, artifact_id)))
         return list(listed)
 
-    def fetch_pom(self, gav: Gav) -> str:
-        return self._once(("fetch_pom", gav), lambda: self.repo.fetch_pom(gav))
-
     def pom_model(self, gav: Gav) -> PomModel:
         """Parsed manifest of ``gav``, as published (no inheritance applied)."""
-        return self._once(("pom_model", gav), lambda: parse_pom(self.fetch_pom(gav)))
+        return self._once(("pom_model", gav), lambda: parse_pom(self.repo.fetch_pom(gav)))
 
     def effective_model(self, gav: Gav) -> EffectivePom:
         """Effective manifest of ``gav``; parents load through the same session."""

@@ -636,6 +636,38 @@ class TestFreeze:
         assert frozen.count("<artifactId>testlib</artifactId>") == 1  # and no pin
 
 
+class TestParentProperties:
+    def test_module_dependency_at_the_parent_version(self, tmp_path, capsys):
+        from mvnlock.pom import effective_pom, parse_pom
+
+        fixture = build_aggregator(tmp_path)
+        fixture.repo.add("com.acme.multi", "api", "2.0")
+        web = fixture.project_root / "web"
+        (web / "pom.xml").write_text(pom_xml(
+            None, "web", None, parent=("com.acme.multi", "parent", "2.0"),
+            deps=(dep_xml("${project.parent.groupId}", "api", "${project.parent.version}"),
+                  dep_xml("org.acme", "lib-a", "1.0")),
+        ), encoding="utf-8")
+        assert run(fixture, "generate") == 0
+        lock = parse_lockfile((web / "lockfile.json").read_bytes())
+        assert {(e.group_id, e.artifact_id, e.version) for e in lock.flattened() if e.direct} \
+            == {("com.acme.multi", "api", "2.0"), ("org.acme", "lib-a", "1.0")}
+        capsys.readouterr()
+        assert run(fixture, "validate") == 0
+        assert capsys.readouterr().err == ""
+        assert run(fixture, "freeze") == 0
+        frozen = (web / "pom.lockfile.xml").read_text(encoding="utf-8")
+        # freeze reads the declared coordinates with the same built-ins, so the version is
+        # replaced where it is written and api is not declared a second time
+        assert "<groupId>${project.parent.groupId}</groupId><artifactId>api</artifactId>" \
+               "<version>2.0</version>" in frozen
+        assert frozen.count("<artifactId>api</artifactId>") == 1
+        parent = parse_pom((fixture.project_root / "pom.xml").read_text(encoding="utf-8"))
+        effective = effective_pom(parse_pom(frozen), parent_loader=lambda gav: parent)
+        api = next(d for d in effective.dependencies if d.artifact_id == "api")
+        assert (api.group_id, api.version_spec.pin) == ("com.acme.multi", "2.0")
+
+
 class TestFailuresNameTheArtifact:
     """A failed listing or read exits 2 naming what failed and leaves the lockfile as it was."""
 
@@ -975,7 +1007,7 @@ class TestOfflineAndWorkers:
         if offline:
             extra = ("--offline",)
             missing = ("com.google.code.gson:gson:2.13.2: offline and not cached: "
-                       "com/google/code/gson/gson/2.13.2/gson-2.13.2.pom")
+                       "com.google.code.gson:gson:2.13.2")
         else:
             extra = ()
             # one manifest deep in web's tree, and one in core's, the earlier module
@@ -1157,6 +1189,14 @@ class TestExitCodeTotality:
     def test_coordinates_undeterminable_without_a_parent(self, tmp_path, capsys):
         err = self.generate_fails(tmp_path, capsys, {".": pom_xml(None, "app", None)})
         assert err == "mvnlock: error: cannot determine coordinates of app\n"
+
+    def test_unresolvable_property_names_the_module(self, tmp_path, capsys):
+        err = self.generate_fails(tmp_path, capsys, {
+            ".": pom_xml("com.acme", "root", "1.0", packaging="pom", modules=["child"]),
+            "child": pom_xml(None, "child", None, parent=("com.acme", "root", "1.0"),
+                             deps=(dep_xml("org.acme", "x", "${nope}"),)),
+        })
+        assert err == "mvnlock: error: module child: unresolvable property reference ${nope}\n"
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -13,7 +13,6 @@ from mvnlock.errors import (
 from mvnlock.pom import (
     Gav,
     effective_pom,
-    interpolate_properties,
     parse_pom,
     parse_version_spec,
 )
@@ -182,19 +181,19 @@ class TestInterpolation:
             "g", "a", "1", properties={"gson.version": "2.13.2"},
             deps=(dep_xml("com.google.code.gson", "gson", "${gson.version}"),),
         ))
-        out = interpolate_properties(model)
+        out = effective_pom(model)
         assert out.dependencies[0].version_spec.pin == "2.13.2"
 
     def test_identity_without_tokens(self):
         model = parse_pom(pom_xml("g", "a", "1", deps=(dep_xml("x", "y", "1.0"),)))
-        assert interpolate_properties(model) == model
+        assert effective_pom(model) == model
 
     def test_idempotent(self):
         model = parse_pom(pom_xml(
             "g", "a", "1", properties={"v": "1.0"}, deps=(dep_xml("x", "y", "${v}"),),
         ))
-        once = interpolate_properties(model)
-        assert interpolate_properties(once) == once
+        once = effective_pom(model)
+        assert effective_pom(once) == once
 
     def test_cycle_detected(self):
         model = parse_pom(pom_xml(
@@ -202,33 +201,70 @@ class TestInterpolation:
             deps=(dep_xml("x", "y", "${a}"),),
         ))
         with pytest.raises(PropertyCycleError):
-            interpolate_properties(model)
+            effective_pom(model)
 
     def test_unresolvable_names_token(self):
         model = parse_pom(pom_xml("g", "a", "1", deps=(dep_xml("x", "y", "${nope}"),)))
         with pytest.raises(PropertyResolutionError, match="nope"):
-            interpolate_properties(model)
+            effective_pom(model)
+
+    def test_first_unresolvable_reference_in_field_order(self):
+        # parent, coordinates, packaging, dependencies, management, plugins
+        names = ["pv", "v", "k", "d", "m", "pl"]
+        parent = parse_pom(pom_xml("g", "p", "1", packaging="pom"))
+
+        def effective(known: int):
+            model = parse_pom(pom_xml(
+                "g", "a", "${v}", packaging="${k}", parent=("g", "p", "${pv}"),
+                properties={name: "1" for name in names[:known]},
+                deps=(dep_xml("x", "y", "${d}"),), dm=(dep_xml("x", "z", "${m}"),),
+                plugins=(("x", "plug", "${pl}"),),
+            ))
+            return effective_pom(model, parent_loader=lambda gav: parent)
+
+        for known, name in enumerate(names):
+            with pytest.raises(PropertyResolutionError, match=rf"\$\{{{name}\}}$"):
+                effective(known)
+        assert effective(len(names)).version == "1"
 
     def test_builtin_project_properties(self):
         model = parse_pom(pom_xml(
             "g", "a", "2.5", deps=(dep_xml("g", "sibling", "${project.version}"),),
         ))
-        out = interpolate_properties(model)
+        out = effective_pom(model)
         assert out.dependencies[0].version_spec.pin == "2.5"
+
+    def test_builtin_parent_properties(self):
+        parent = parse_pom(pom_xml("g.parent", "base", "3.1", packaging="pom"))
+        model = parse_pom(pom_xml(
+            "g", "a", "1", parent=("g.parent", "base", "3.1"),
+            deps=(dep_xml("${project.parent.groupId}", "${project.parent.artifactId}-api",
+                          "${project.parent.version}"),),
+        ))
+        (dep,) = effective_pom(model, parent_loader=lambda gav: parent).dependencies
+        assert dep.group_id == "g.parent" and dep.artifact_id == "base-api"
+        assert dep.version_spec.pin == "3.1"
+
+    def test_no_parent_properties_without_a_parent(self):
+        model = parse_pom(pom_xml(
+            "g", "a", "1", deps=(dep_xml("x", "y", "${project.parent.version}"),),
+        ))
+        with pytest.raises(PropertyResolutionError, match=r"\$\{project\.parent\.version\}"):
+            effective_pom(model)
 
     def test_chained_substitution(self):
         model = parse_pom(pom_xml(
             "g", "a", "1", properties={"one": "${two}", "two": "2.0"},
             deps=(dep_xml("x", "y", "${one}"),),
         ))
-        assert interpolate_properties(model).dependencies[0].version_spec.pin == "2.0"
+        assert effective_pom(model).dependencies[0].version_spec.pin == "2.0"
 
     def test_range_assembled_from_property(self):
         model = parse_pom(pom_xml(
             "g", "a", "1", properties={"lo": "1.0"},
             deps=(dep_xml("x", "y", "[${lo},2.0)"),),
         ))
-        spec = interpolate_properties(model).dependencies[0].version_spec
+        spec = effective_pom(model).dependencies[0].version_spec
         assert spec.kind == "range" and spec.intervals[0].lower == "1.0"
 
 
@@ -248,7 +284,7 @@ class TestEffective:
 
     def test_parentless_identity(self):
         model = parse_pom(pom_xml("g", "a", "1", deps=(dep_xml("x", "y", "1.0"),)))
-        assert effective_pom(model) == interpolate_properties(model)
+        assert effective_pom(model) == model
 
     def test_management_fills_missing_version(self):
         parent, child = self.parent_and_child()

@@ -3,8 +3,13 @@ import time
 
 import pytest
 
-from conftest import build_aggregator, pom_xml
-from mvnlock.errors import NotFoundError, ParentResolutionError
+from conftest import build_aggregator, dep_xml, pom_xml
+from mvnlock.errors import (
+    NotFoundError,
+    ParentResolutionError,
+    PropertyCycleError,
+    PropertyResolutionError,
+)
 from mvnlock.pom import Gav
 from mvnlock.project import Pool, load_project
 
@@ -46,6 +51,20 @@ def test_unknown_parent_without_repo(tmp_path):
         None, "orphan", None, parent=("ext", "parent", "1")))
     with pytest.raises(ParentResolutionError):
         load_project(root)
+
+
+@pytest.mark.parametrize("properties, error, message", [
+    ({}, PropertyResolutionError, r"unresolvable property reference \$\{a\}"),
+    ({"a": "${b}", "b": "${a}"}, PropertyCycleError, "property substitution did not converge"),
+])
+def test_property_error_names_the_module(tmp_path, properties, error, message):
+    fixture = build_aggregator(tmp_path)
+    (fixture.project_root / "web" / "pom.xml").write_text(pom_xml(
+        None, "web", None, parent=("com.acme.multi", "parent", "2.0"), properties=properties,
+        deps=(dep_xml("org.acme", "lib-a", "${a}"),)))
+    with pytest.raises(error, match=f"^module web: {message}") as err:
+        load_project(fixture.project_root, fixture.repository())
+    assert type(err.value) is error
 
 
 def test_remote_parent_resolved_through_repo(tmp_path):

@@ -5,6 +5,7 @@ import re
 import socket
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -90,8 +91,42 @@ class TestFetch:
     def test_offline_uncached_is_error(self, tmp_path):
         client = MavenRepository(RepositoryConfig(
             remote_base_urls=(), local_repo_root=tmp_path / "cache"))
-        with pytest.raises(OfflineError):
+        with pytest.raises(OfflineError, match=f"^offline and not cached: {GSON}$"):
             client.fetch_pom(GSON)
+
+    def test_a_manifest_is_read_once(self, repo, monkeypatch):
+        builder, client = repo
+        opened = Counter()
+        real_open, real_path_open = open, Path.open
+
+        def counting_open(file, *args, **kwargs):
+            handle = real_open(file, *args, **kwargs)  # a cache miss opens nothing
+            opened[Path(file)] += 1
+            return handle
+
+        def counting_path_open(self, *args, **kwargs):
+            opened[self] += 1
+            return real_path_open(self, *args, **kwargs)
+
+        monkeypatch.setattr(repo_module, "open", counting_open, raising=False)
+        monkeypatch.setattr(Path, "open", counting_path_open)
+        pom = artifact_rel_path(GSON, "pom")
+        text = client.fetch_pom(GSON)
+        # cold: the remote copy is read once, and the cached copy is never read back
+        assert {path: n for path, n in opened.items() if path.suffix == ".pom"} == {
+            builder.root / pom: 1}
+        opened.clear()
+        assert client.fetch_pom(GSON) == text
+        assert opened == Counter({client.config.local_repo_root / pom: 1})
+
+    def test_manifest_newlines_read_as_text(self, repo):
+        builder, client = repo
+        path = builder.artifact_path("com.google.code.gson", "gson", "2.13.2", "pom")
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n") + b"<!-- a -->\r")
+        expected = path.read_text(encoding="utf-8")
+        assert "\r" not in expected
+        assert client.fetch_pom(GSON) == expected  # filled
+        assert client.fetch_pom(GSON) == expected  # cached
 
     def test_missing_artifact_is_not_found(self, repo):
         _, client = repo
