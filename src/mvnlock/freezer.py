@@ -120,6 +120,8 @@ def _scan(data: bytes) -> _Element:
     parser.StartElementHandler, parser.EndElementHandler = start, end
     parser.CharacterDataHandler = lambda chars: stack[-1].text.append(chars)
     parser.Parse(data, True)
+    # the handlers hold the parser: unset them, so that no cycle outlives the scan
+    parser.StartElementHandler = parser.EndElementHandler = parser.CharacterDataHandler = None
     return stack[0].children[0]
 
 

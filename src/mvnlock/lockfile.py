@@ -263,25 +263,9 @@ def assemble(module_pom: EffectivePom, config: LockfileConfig, tree: ResolvedTre
     forest only to compare (``integrity.compare``), never to serialize.
     """
     occurrences = tree.occurrence_scopes()
-
-    def lock_node(node: ResolvedNode) -> LockedDependency:
-        record, source = (None, None) if checksums is None else checksums[node.artifact]
-        return LockedDependency(
-            group_id=node.gav.group_id,
-            artifact_id=node.gav.artifact_id,
-            version=node.gav.version,
-            scope=tree.recorded_scope(node, occurrences),
-            checksum=record,
-            repository_source=source,
-            direct=node.depth == 1,
-            children=sorted(
-                (lock_node(c) for c in node.children if c.selected),
-                key=lambda entry: entry.ga,
-            ),
-        )
-
     forest = sorted(
-        (lock_node(n) for n in tree.nodes if n.selected), key=lambda entry: entry.ga
+        (_lock_node(n, tree, occurrences, checksums) for n in tree.nodes if n.selected),
+        key=lambda entry: entry.ga,
     )
 
     plugins = None
@@ -294,6 +278,25 @@ def assemble(module_pom: EffectivePom, config: LockfileConfig, tree: ResolvedTre
 
     env = (environment or probe_environment()) if config.include_environment else None
     return Lockfile(module_pom.coordinates, config, forest, env, plugins)
+
+
+def _lock_node(node: ResolvedNode, tree: ResolvedTree, occurrences: dict,
+               checksums: dict[Job, tuple[ChecksumRecord, str]] | None) -> LockedDependency:
+    """The entry of a selected node, its selected children placed under it in g:a order."""
+    record, source = (None, None) if checksums is None else checksums[node.artifact]
+    return LockedDependency(
+        group_id=node.gav.group_id,
+        artifact_id=node.gav.artifact_id,
+        version=node.gav.version,
+        scope=tree.recorded_scope(node, occurrences),
+        checksum=record,
+        repository_source=source,
+        direct=node.depth == 1,
+        children=sorted(
+            (_lock_node(c, tree, occurrences, checksums) for c in node.children if c.selected),
+            key=lambda entry: entry.ga,
+        ),
+    )
 
 
 def generate_all(modules: list[ProjectModule], config: LockfileConfig, repo: MavenRepository,
@@ -544,18 +547,19 @@ def _facts(lockfile: Lockfile) -> tuple[dict, dict]:
     An entry's placement is ``"direct"`` or its parent's g:a. A plugin has
     neither scope nor placement, and an unrecorded digest is None.
     """
-    entries = {}
-
-    def visit(children: list[LockedDependency], parent: str | None) -> None:
-        for e in children:
-            entries[e.ga] = (e.version, e.checksum and e.checksum.digest, e.scope,
-                             "direct" if e.direct else parent)
-            visit(e.children, f"{e.group_id}:{e.artifact_id}")
-
-    visit(lockfile.dependencies, None)
+    entries: dict = {}
+    _entry_facts(entries, lockfile.dependencies, None)
     plugins = {gav.ga: (gav.version, record and record.digest, None, None)
                for gav, record in lockfile.plugins or ()}
     return entries, plugins
+
+
+def _entry_facts(entries: dict, children: list[LockedDependency], parent: str | None) -> None:
+    """Add ``children`` and all below them to ``entries``; ``parent`` is their parent's g:a."""
+    for e in children:
+        entries[e.ga] = (e.version, e.checksum and e.checksum.digest, e.scope,
+                         "direct" if e.direct else parent)
+        _entry_facts(entries, e.children, f"{e.group_id}:{e.artifact_id}")
 
 
 def diff(old: Lockfile, new: Lockfile) -> list[Finding]:

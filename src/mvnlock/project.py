@@ -35,6 +35,21 @@ def _raw_gav(model: PomModel) -> Gav:
     return Gav(group, model.artifact_id, version)
 
 
+def _discover(rel: str, directory: Path, raw: list[tuple[str, Path, PomModel]]) -> None:
+    """Append the module at ``directory`` to ``raw``, then the modules it aggregates."""
+    pom_path = directory / "pom.xml"
+    if not pom_path.is_file():
+        raise NotFoundError(f"module path {rel!r} has no pom.xml")
+    model = parse_pom(pom_path.read_text(encoding="utf-8"))
+    raw.append((rel, directory, model))
+    for module in model.modules:
+        child_rel = module if rel == "." else f"{rel}/{module}"
+        child_dir = directory / module
+        if not child_dir.is_dir():
+            raise NotFoundError(f"module path {child_rel!r} does not exist")
+        _discover(child_rel, child_dir, raw)
+
+
 def load_project(root: Path, repo=None) -> list[ProjectModule]:
     """Parse the root manifest and every module it aggregates, recursively.
 
@@ -42,23 +57,8 @@ def load_project(root: Path, repo=None) -> list[ProjectModule]:
     repository when one is given. Module order is root first, then declaration
     order depth-first, which keeps all per-module output deterministic.
     """
-    root = Path(root)
     raw: list[tuple[str, Path, PomModel]] = []
-
-    def visit(rel: str, directory: Path) -> None:
-        pom_path = directory / "pom.xml"
-        if not pom_path.is_file():
-            raise NotFoundError(f"module path {rel!r} has no pom.xml")
-        model = parse_pom(pom_path.read_text(encoding="utf-8"))
-        raw.append((rel, directory, model))
-        for module in model.modules:
-            child_rel = module if rel == "." else f"{rel}/{module}"
-            child_dir = directory / module
-            if not child_dir.is_dir():
-                raise NotFoundError(f"module path {child_rel!r} does not exist")
-            visit(child_rel, child_dir)
-
-    visit(".", root)
+    _discover(".", Path(root), raw)
 
     local_poms = {_raw_gav(model): model for _, _, model in raw}
     session = session_of(repo) if repo is not None else None

@@ -308,13 +308,14 @@ class MavenRepository:
         With ``sink``, every chunk of that copy is passed to it once, in order:
         read from the cache on a hit, or on its way in on a fill, so the
         caller never reads the copy again. ``what`` names the coordinates of
-        the file in a failure to find or fill it.
+        the file in a failure to fill it; an offline miss names none, so the
+        caller names them once.
         """
         try:
             handle = open(self.config.local_repo_root / rel_path, "rb", buffering=0)
         except _MISSING:  # a miss, a directory in its place included
             if self.config.offline:
-                raise OfflineError(f"offline and not cached: {what}") from None
+                raise OfflineError("offline and not cached") from None
         else:
             with handle:
                 for _ in _chunks(handle, sink) if sink is not None else ():
@@ -379,7 +380,7 @@ class MavenRepository:
             self._ensure_cached(artifact_rel_path(gav, packaging, classifier), str(gav),
                                 digest.update)
         except OfflineError as exc:
-            raise NotFoundError(str(exc), gav=gav) from exc
+            raise NotFoundError(f"{exc}: {gav}", gav=gav) from exc
         return ChecksumRecord(algorithm=algorithm, digest=digest.hexdigest(), mode="local")
 
     def checksum_remote(self, gav: Gav, packaging: str = "jar", algorithm: str = "sha256",
@@ -440,6 +441,6 @@ class MavenRepository:
             ) from exc
         versions = [
             (el.text or "").strip()
-            for el in root.findall("./versioning/versions/version")
+            for el in root.findall("./{*}versioning/{*}versions/{*}version")  # any namespace
         ]
         return sorted_versions(v for v in versions if v)

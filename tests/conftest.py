@@ -7,6 +7,7 @@ against input the implementation did not produce.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import os
 import random
@@ -365,6 +366,24 @@ def single_fixture(tmp_path) -> Fixture:
 @pytest.fixture
 def dualpath_fixture(tmp_path) -> Fixture:
     return build_dualpath(tmp_path)
+
+
+@pytest.fixture
+def saved_cycles() -> list:
+    """``gc.garbage`` while the test runs with ``gc.DEBUG_SAVEALL``: what each collection found.
+
+    Collects first, so that only what the test builds is saved; afterwards
+    the debug flags are restored and the saved objects are let go.
+    """
+    flags = gc.get_debug()
+    gc.collect()
+    gc.garbage.clear()
+    gc.set_debug(flags | gc.DEBUG_SAVEALL)
+    try:
+        yield gc.garbage
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
 
 
 def flip_byte(path: Path, offset: int) -> bytes:

@@ -73,6 +73,16 @@ class TestGenerate:
         assert "gson-2.13.2.jar.sha512" in err
         assert not (single_fixture.project_root / "lockfile.json").exists()
 
+    def test_range_over_namespaced_metadata(self, single_fixture):
+        meta = single_fixture.repo.root / "org" / "acme" / "text" / "maven-metadata.xml"
+        meta.write_text(meta.read_text(encoding="utf-8").replace(
+            "<metadata>", '<metadata xmlns="http://maven.apache.org/METADATA/1.1.0">'),
+            encoding="utf-8")
+        assert run(single_fixture, "generate") == 0
+        lock = parse_lockfile((single_fixture.project_root / "lockfile.json").read_bytes())
+        assert ("org.acme", "text", "1.0") in {
+            (e.group_id, e.artifact_id, e.version) for e in lock.flattened()}
+
     def test_multi_module_files(self, tmp_path):
         fixture = build_aggregator(tmp_path)
         assert run(fixture, "generate") == 0
@@ -1006,8 +1016,7 @@ class TestOfflineAndWorkers:
             shutil.rmtree(fixture.cache_root)
         if offline:
             extra = ("--offline",)
-            missing = ("com.google.code.gson:gson:2.13.2: offline and not cached: "
-                       "com.google.code.gson:gson:2.13.2")
+            missing = "com.google.code.gson:gson:2.13.2: offline and not cached"
         else:
             extra = ()
             # one manifest deep in web's tree, and one in core's, the earlier module

@@ -91,7 +91,8 @@ class TestFetch:
     def test_offline_uncached_is_error(self, tmp_path):
         client = MavenRepository(RepositoryConfig(
             remote_base_urls=(), local_repo_root=tmp_path / "cache"))
-        with pytest.raises(OfflineError, match=f"^offline and not cached: {GSON}$"):
+        # its caller names the manifest, as the resolver and a parent load do
+        with pytest.raises(OfflineError, match="^offline and not cached$"):
             client.fetch_pom(GSON)
 
     def test_a_manifest_is_read_once(self, repo, monkeypatch):
@@ -315,6 +316,15 @@ class TestVersionListing:
         meta.parent.mkdir(parents=True)
         meta.write_text("<metadata><versioning><versions/></versioning></metadata>")
         assert client.list_versions("org.acme", "hollow") == []
+
+    def test_namespaced_metadata(self, repo):
+        builder, client = repo
+        meta = builder.root / metadata_rel_path("org.acme", "spaced")
+        meta.parent.mkdir(parents=True)
+        meta.write_text('<metadata xmlns="http://maven.apache.org/METADATA/1.1.0">'
+                        "<versioning><versions><version>1.1</version><version>1.0</version>"
+                        "</versions></versioning></metadata>")
+        assert client.list_versions("org.acme", "spaced") == ["1.0", "1.1"]
 
     def test_refetched_when_online(self, repo):
         builder, client = repo
