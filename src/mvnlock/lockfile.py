@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedLockfileVersionError,
     in_module,
 )
-from .pom import EffectivePom, Gav
+from .pom import RANGE_CHARS, EffectivePom, Gav
 from .project import ProjectModule, read_ahead
 from .records import Checked, Record
 from .repo import ALGORITHMS, ChecksumRecord, MavenRepository
@@ -452,23 +452,24 @@ def _read(obj, table: dict, where) -> tuple[dict, dict]:
     return parts
 
 
-def _built(make, where, **values):
-    """``make(**values)``, its refusal of a value raised as a schema error at ``where``."""
+def _built(make, where, *args, **values):
+    """``make(*args, **values)``, its refusal of a value raised as a schema error at ``where``."""
     try:
-        return make(**values)
+        return make(*args, **values)
     except MvnlockError as exc:
         raise LockfileSchemaError(f"{_spelled(where)}: {exc}") from exc
 
 
 def _checksum(values: dict, where, config: LockfileConfig) -> ChecksumRecord:
     """The record, refused unless in ``config``'s mode and algorithm; a plugin takes its mode."""
-    record = _built(ChecksumRecord, where, **{"mode": config.checksum_mode, **values})
-    for key, recorded, configured in (
-            ("checksumMode", record.mode, config.checksum_mode),
-            ("checksumAlgorithm", record.algorithm, config.checksum_algorithm)):
-        if recorded != configured:
-            raise LockfileSchemaError(f"{_spelled(where)}.{key} is {recorded!r}, "
-                                      f"but config.{key} is {configured!r}")
+    record = _built(ChecksumRecord, where, values["algorithm"], values["digest"],
+                    values.get("mode", config.checksum_mode))
+    if record.mode != config.checksum_mode:
+        raise LockfileSchemaError(f"{_spelled(where)}.checksumMode is {record.mode!r}, "
+                                  f"but config.checksumMode is {config.checksum_mode!r}")
+    if record.algorithm != config.checksum_algorithm:
+        raise LockfileSchemaError(f"{_spelled(where)}.checksumAlgorithm is {record.algorithm!r}, "
+                                  f"but config.checksumAlgorithm is {config.checksum_algorithm!r}")
     return record
 
 
@@ -486,7 +487,10 @@ def _parse_entry(obj, where: tuple, seen: set, config: LockfileConfig) -> Locked
         _expect(values["scope"] in _SCOPES, f"{place}.scope is not a known scope")
         raise LockfileSchemaError(f"{place}: duplicate entry for {ga[0]}:{ga[1]}")
     seen.add(ga)
-    _built(Gav, where, group_id=ga[0], artifact_id=ga[1], version=values["version"])
+    # ``_read`` found three non-empty strings, so of a Gav's checks only the
+    # range one is left; only a version that fails it builds a Gav, to be refused
+    if not RANGE_CHARS.isdisjoint(values["version"]):
+        _built(Gav, where, group_id=ga[0], artifact_id=ga[1], version=values["version"])
     values["checksum"] = _checksum(checksum, where, config)
     if values["children"]:  # most entries have none
         children = values["children"] = [_parse_entry(child, (*where, i), seen, config)

@@ -8,9 +8,11 @@ extensions, and BOM import are rejected loudly rather than resolved wrong.
 ``parse_pom`` keeps a manifest as written, ``${}`` references included.
 ``effective_pom`` is where interpolation happens, in one pass: it walks the
 parent chain, merges properties, dependencies and management, builds the
-``${}`` table once with ``property_table`` (which freeze reads coordinates
-with too), and constructs a model whose fields are already substituted and
-whose managed versions are filled. No model is changed once constructed.
+``${}`` table with ``property_table`` (which freeze reads coordinates with
+too) once something refers to it, and constructs a model whose fields are
+already substituted and whose managed versions are filled. A declaration
+that neither substitution nor the management fill changes is the parsed
+object itself. No model is changed once constructed.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .versions import compare_versions
 
 SCOPES = ("compile", "provided", "runtime", "test")
 
-_RANGE_CHARS = set("[](),")
+RANGE_CHARS = frozenset("[](),")  # a version holding any of them is a range
 _PROPERTY_RE = re.compile(r"\$\{([^}]+)\}")
 _INTERPOLATION_DEPTH = 10
 _PARENT_CHAIN_LIMIT = 10
@@ -54,7 +56,7 @@ class Gav(Checked, _GavFields):
         for name, value in zip(self._fields, self):
             if not value:
                 raise PomModelError(f"coordinate field {name} must be non-empty")
-        if _RANGE_CHARS & set(self.version):
+        if not RANGE_CHARS.isdisjoint(self.version):
             raise PomModelError(f"version {self.version!r} contains range syntax")
 
     @property
@@ -100,8 +102,8 @@ def parse_version_spec(text: str) -> VersionSpec:
     stripped = text.strip()
     if not stripped:
         raise VersionSpecSyntaxError("empty version spec")
-    if not _RANGE_CHARS & set(stripped):
-        return VersionSpec(kind="soft-pin", text=stripped, pin=stripped)
+    if RANGE_CHARS.isdisjoint(stripped):
+        return VersionSpec("soft-pin", stripped, stripped)
 
     intervals: list[Interval] = []
     i = 0
@@ -220,12 +222,11 @@ EffectivePom = PomModel
 
 
 def _local_tag(element: ET.Element) -> str:
-    tag = element.tag
-    return tag.rsplit("}", 1)[-1] if "}" in tag else tag
+    return element.tag.rpartition("}")[2]
 
 
 def _child_map(element: ET.Element) -> dict[str, ET.Element]:
-    return {_local_tag(child): child for child in element}
+    return {child.tag.rpartition("}")[2]: child for child in element}
 
 
 def _text(element: ET.Element | None) -> str | None:
@@ -263,16 +264,12 @@ def _parse_dependency(element: ET.Element, context: str) -> DependencyDecl:
                     f"exclusion on {group}:{artifact} needs <groupId> and <artifactId>"
                 )
             exclusions.append((eg, ea))
+    # positional: the fields in _DependencyFields order, which is faster than keywords
     return DependencyDecl(
-        group_id=group,
-        artifact_id=artifact,
-        version_spec=parse_version_spec(version_text) if version_text else None,
-        scope=scope_text or "compile",
-        scope_explicit=scope_text is not None,
-        optional_flag=_text(children.get("optional")) == "true",
-        exclusions=tuple(exclusions),
-        packaging=_text(children.get("type")) or "jar",
-        classifier=_text(children.get("classifier")),
+        group, artifact, parse_version_spec(version_text) if version_text else None,
+        scope_text or "compile", scope_text is not None,
+        _text(children.get("optional")) == "true", tuple(exclusions),
+        _text(children.get("type")) or "jar", _text(children.get("classifier")),
     )
 
 
@@ -474,36 +471,36 @@ def effective_pom(model: PomModel, parent_loader=None) -> EffectivePom:
             f"coordinates of {model.artifact_id} remain incomplete after inheritance"
         )
 
-    table = property_table(properties, group, model.artifact_id, version, model.parent)
+    # the ${} table is built only for a manifest that refers to a property: at
+    # once when a property value holds a reference, so that its error comes
+    # first, else at the first field that holds one
+    built_ins = (group, model.artifact_id, version, model.parent)
+    table = None
+    if any("${" in value for value in properties.values()):
+        table = property_table(properties, *built_ins)
+        properties = {name: table[name] for name in properties}
 
-    def sub_decl(decl: DependencyDecl) -> DependencyDecl:
-        spec = decl.version_spec
-        if spec is not None:
-            new_text = substitute(spec.text, table)
-            if new_text != spec.text:
-                spec = parse_version_spec(new_text)
-        return decl._replace(
-            group_id=substitute(decl.group_id, table),
-            artifact_id=substitute(decl.artifact_id, table),
-            version_spec=spec,
-            classifier=None if decl.classifier is None else substitute(decl.classifier, table),
-            exclusions=tuple(
-                (substitute(g, table), substitute(a, table)) for g, a in decl.exclusions
-            ),
-        )
+    def sub(value: str) -> str:
+        nonlocal table
+        if "${" not in value:
+            return value
+        if table is None:
+            table = property_table(properties, *built_ins)
+        return substitute(value, table)
 
     # fields are substituted in a fixed order: parent, coordinates, packaging,
-    # dependencies, management, plugins; the first unresolvable reference raises
-    parent = model.parent and Gav(*(substitute(field, table) for field in model.parent))
-    artifact_id = substitute(model.artifact_id, table)
-    group = substitute(group, table)
-    version = substitute(version, table)
-    packaging = substitute(model.packaging, table)
-    dependencies = [sub_decl(d) for d in dependencies]
-    management = [sub_decl(d) for d in management]
+    # dependencies, management, plugins; the first unresolvable reference raises.
+    # What holds no reference is kept as it was parsed
+    parent = model.parent
+    if parent is not None and any("${" in field for field in parent):
+        parent = Gav(*(sub(field) for field in parent))
+    artifact_id, group, version, packaging = (
+        sub(model.artifact_id), sub(group), sub(version), sub(model.packaging))
+    dependencies = [_interpolated(d, sub) for d in dependencies]
+    management = [_interpolated(d, sub) for d in management]
     plugins = [
-        PluginDecl(substitute(p.group_id, table), substitute(p.artifact_id, table),
-                   None if p.version is None else substitute(p.version, table))
+        PluginDecl(sub(p.group_id), sub(p.artifact_id), p.version and sub(p.version))
+        if any(field and "${" in field for field in p) else p
         for p in model.plugins
     ]
 
@@ -514,6 +511,25 @@ def effective_pom(model: PomModel, parent_loader=None) -> EffectivePom:
         if d.version_spec is None and d.ga in managed else d
         for d in dependencies
     ]
-    return PomModel(artifact_id, group, version, packaging, parent,
-                    {name: table[name] for name in properties}, filled, management,
-                    list(model.modules), plugins, model.source_xml)
+    return PomModel(artifact_id, group, version, packaging, parent, properties, filled,
+                    management, list(model.modules), plugins, model.source_xml)
+
+
+def _interpolated(decl: DependencyDecl, sub) -> DependencyDecl:
+    """``decl`` with ``sub`` applied to each field; ``decl`` itself when none holds a ``${``."""
+    spec = decl.version_spec
+    if ("${" not in decl.group_id and "${" not in decl.artifact_id
+            and (spec is None or "${" not in spec.text)
+            and (decl.classifier is None or "${" not in decl.classifier)
+            and not (decl.exclusions and any("${" in g or "${" in a
+                                             for g, a in decl.exclusions))):
+        return decl
+    if spec is not None and "${" in spec.text:
+        spec = parse_version_spec(sub(spec.text))
+    return decl._replace(
+        group_id=sub(decl.group_id),
+        artifact_id=sub(decl.artifact_id),
+        version_spec=spec,
+        classifier=decl.classifier and sub(decl.classifier),
+        exclusions=tuple((sub(g), sub(a)) for g, a in decl.exclusions),
+    )

@@ -9,8 +9,11 @@ rename). A cache fill streams from the source into that temp file in
 fixed-size chunks, so no run holds a whole artifact in memory, and a local
 checksum of a freshly filled artifact, like the text of a manifest, is taken
 from those chunks as they arrive instead of from a second read of the cached
-copy. Each cache fill records the serving base URL in a provenance sidecar
-so the recorded package source is stable across reruns. The sidecars of one
+copy. A cache hit is read whole: one ``open`` of a string path and one read
+that returns data, for a file that fits one chunk, as every manifest, listing
+and marker does; a larger file is streamed in chunks, as a fill is. Each
+cache fill records the serving base URL in a provenance sidecar so the
+recorded package source is stable across reruns. The sidecars of one
 base are hard links to one file under ``.mvnlock/`` in the cache, so a fill
 creates one new file, not two; where the file system refuses the link, a
 sidecar is a file of its own with the same text.
@@ -201,6 +204,26 @@ def _open(url: str, timeout: float) -> BinaryIO | None:
         raise
 
 
+def _read_cached(path: str, sink) -> bool:
+    """Pass the bytes of the cached file at ``path`` to ``sink``; False when there is none.
+
+    Chunks are read until an empty one, as not every file system promises
+    that a short read is the end. A directory in the file's place is no file.
+    """
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except _MISSING:
+        return False
+    try:
+        for chunk in iter(lambda: os.read(fd, _CHUNK), b""):
+            sink(chunk)
+    except IsADirectoryError:  # it opens; only its read is refused
+        return False
+    finally:
+        os.close(fd)
+    return True
+
+
 def _chunks(stream: BinaryIO, sink=None) -> Iterable[bytes]:
     """The stream's bytes in fixed-size chunks, each passed to ``sink`` if given."""
     for chunk in iter(lambda: stream.read(_CHUNK), b""):
@@ -236,6 +259,7 @@ class MavenRepository:
 
     def __init__(self, config: RepositoryConfig):
         self.config = config
+        self._root = str(config.local_repo_root)  # cache paths are joined as strings
         self._shared_sources: dict[str, Path] = {}  # base -> its checked shared marker file
         self._shared_lock = threading.Lock()
 
@@ -260,7 +284,7 @@ class MavenRepository:
             return b"".join(_download(stream, _url(base, rel_path))), base
 
     def _write_cache(self, rel_path: str, data: bytes | Iterable[bytes],
-                     source: str | None, what: str) -> Path:
+                     source: str | None, what: str | None = None) -> Path:
         """Cache ``data`` at ``rel_path`` with a marker of ``source``; errors name ``what``."""
         path = self.config.local_repo_root / rel_path
         # the marker lands first: whoever sees the artifact also sees its source,
@@ -274,7 +298,8 @@ class MavenRepository:
                 files.insert(0, (path.parent / (path.name + _SOURCE_SUFFIX),
                                  HardLink(self._shared_source(source, text), text)))
         except OSError as exc:  # only a mkdir raises it: a file where a directory goes
-            raise MvnlockError(f"cannot create cache directory {exc.filename} for {what}: "
+            named = f" for {what}" if what else ""
+            raise MvnlockError(f"cannot create cache directory {exc.filename}{named}: "
                                f"{exc.strerror or exc}") from exc
         write_files(files)
         return path
@@ -302,28 +327,28 @@ class MavenRepository:
                 self._shared_sources[base] = shared
             return shared
 
-    def _ensure_cached(self, rel_path: str, what: str, sink=None) -> None:
-        """Make sure rel_path is cached, streaming it in from a remote when missing.
+    def _ensure_cached(self, rel_path: str, sink, what: str | None = None) -> None:
+        """Pass every chunk of rel_path's cached copy to ``sink``, filling it when missing.
 
-        With ``sink``, every chunk of that copy is passed to it once, in order:
-        read from the cache on a hit, or on its way in on a fill, so the
-        caller never reads the copy again. ``what`` names the coordinates of
-        the file in a failure to fill it; an offline miss names none, so the
-        caller names them once.
+        Each chunk reaches ``sink`` once, in order: read from the cache on a
+        hit (``_read_cached``), or on its way in on a fill, so the caller
+        never reads the copy again. A failure to fill names ``what`` when
+        given (``_write_cache``); an offline miss names nothing, so the
+        caller names the coordinates once.
         """
-        try:
-            handle = open(self.config.local_repo_root / rel_path, "rb", buffering=0)
-        except _MISSING:  # a miss, a directory in its place included
-            if self.config.offline:
-                raise OfflineError("offline and not cached") from None
-        else:
-            with handle:
-                for _ in _chunks(handle, sink) if sink is not None else ():
-                    pass
+        if _read_cached(f"{self._root}/{rel_path}", sink):
             return
+        if self.config.offline:
+            raise OfflineError("offline and not cached")
         stream, base = self._fetch_remote(rel_path)
         with stream:
             self._write_cache(rel_path, _download(stream, _url(base, rel_path), sink), base, what)
+
+    def _cached(self, rel_path: str) -> bytes | None:
+        """The bytes of rel_path's cached copy, or None when it is not cached."""
+        chunks: list[bytes] = []
+        found = _read_cached(f"{self._root}/{rel_path}", chunks.append)
+        return b"".join(chunks) if found else None
 
     # --- public operations ---
 
@@ -341,8 +366,7 @@ class MavenRepository:
         if mode == "remote":
             return any(_local_path(base) is None for base in self.config.remote_base_urls)
         try:
-            cached = os.stat(self.config.local_repo_root /
-                             artifact_rel_path(gav, packaging, classifier))
+            cached = os.stat(f"{self._root}/{artifact_rel_path(gav, packaging, classifier)}")
         except OSError:
             cached = None
         if cached is None or not stat.S_ISREG(cached.st_mode):
@@ -353,7 +377,8 @@ class MavenRepository:
         """The manifest's text, read once, with newlines as a text-mode read gives them."""
         chunks: list[bytes] = []
         try:
-            self._ensure_cached(artifact_rel_path(gav, packaging="pom"), str(gav), chunks.append)
+            # the caller names the coordinates: the resolver or a parent load
+            self._ensure_cached(artifact_rel_path(gav, packaging="pom"), chunks.append)
         except NotFoundError as exc:
             raise NotFoundError(str(exc), gav=gav) from exc
         return b"".join(chunks).decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
@@ -361,12 +386,8 @@ class MavenRepository:
     def source_of(self, gav: Gav, packaging: str = "jar",
                   classifier: str | None = None) -> str:
         """Base URL the cached artifact came from, or 'local' if unknown."""
-        cached = self.config.local_repo_root / artifact_rel_path(gav, packaging, classifier)
-        marker = cached.parent / (cached.name + _SOURCE_SUFFIX)
-        try:
-            return marker.read_text(encoding="utf-8").strip()
-        except _MISSING:
-            return "local"
+        marker = self._cached(artifact_rel_path(gav, packaging, classifier) + _SOURCE_SUFFIX)
+        return "local" if marker is None else marker.decode("utf-8").strip()
 
     def checksum_local(self, gav: Gav, packaging: str = "jar", algorithm: str = "sha256",
                        classifier: str | None = None) -> ChecksumRecord:
@@ -377,8 +398,8 @@ class MavenRepository:
         """
         digest = hashlib.new(algorithm)
         try:
-            self._ensure_cached(artifact_rel_path(gav, packaging, classifier), str(gav),
-                                digest.update)
+            self._ensure_cached(artifact_rel_path(gav, packaging, classifier), digest.update,
+                                str(gav))
         except OfflineError as exc:
             raise NotFoundError(f"{exc}: {gav}", gav=gav) from exc
         return ChecksumRecord(algorithm=algorithm, digest=digest.hexdigest(), mode="local")
@@ -420,19 +441,14 @@ class MavenRepository:
         (group, artifact).
         """
         rel = metadata_rel_path(group_id, artifact_id)
-        cached = self.config.local_repo_root / rel
         if self.config.offline:
-            if not cached.is_file():
+            data = self._cached(rel)
+            if data is None:
                 raise NotFoundError(f"no cached version metadata for {group_id}:{artifact_id}")
-            data = cached.read_bytes()
         else:
             data, _ = self._fetch_bytes(rel)
-            try:
-                unchanged = cached.read_bytes() == data
-            except _MISSING:
-                unchanged = False
-            if not unchanged:
-                self._write_cache(rel, data, None, f"{group_id}:{artifact_id}")
+            if self._cached(rel) != data:  # the caller names the coordinates
+                self._write_cache(rel, data, None)
         try:
             root = ET.fromstring(data)
         except ET.ParseError as exc:

@@ -229,7 +229,9 @@ def resolve(pom: EffectivePom, repo, include_test: bool = True,
             selected=decl.ga not in winners,
             packaging=decl.packaging,
             classifier=decl.classifier,
-            exclusions=inherited_exclusions | set(decl.exclusions),
+            # most declarations add no exclusion: they share the inherited set
+            exclusions=(inherited_exclusions.union(decl.exclusions) if decl.exclusions
+                        else inherited_exclusions),
         )
         if node.selected:
             winners[decl.ga] = node

@@ -737,7 +737,28 @@ class TestFailuresNameTheArtifact:
         gson = "com.google.code.gson:gson:2.13.2"
         assert capsys.readouterr().err == (
             f"mvnlock: error: module .: cannot load manifest of {gson}: cannot create cache "
-            f"directory {cache / directory} for {gson}: {reason} (path: com.acme:app:1.0.0)\n")
+            f"directory {cache / directory}: {reason} (path: com.acme:app:1.0.0)\n")
+
+    def test_a_jar_fill_that_cannot_create_a_directory_names_its_artifact(self, single_fixture,
+                                                                           capsys):
+        assert run(single_fixture, "generate") == 0
+        cache = single_fixture.cache_root
+        single_fixture.cached_artifact("org.acme", "text", "1.0").unlink()
+        shutil.rmtree(cache / ".mvnlock")
+        (cache / ".mvnlock").write_text("not a directory", encoding="utf-8")
+        err = self.failing(single_fixture, capsys, "generate")
+        assert err == (f"mvnlock: error: module .: cannot create cache directory "
+                       f"{cache / '.mvnlock'} for org.acme:text:1.0: File exists\n")
+
+    def test_a_listing_that_cannot_create_its_directory_names_it_once(self, single_fixture,
+                                                                       capsys):
+        assert run(single_fixture, "generate") == 0
+        listed = single_fixture.cache_root / "org" / "acme" / "text"
+        shutil.rmtree(listed)
+        listed.write_text("not a directory", encoding="utf-8")
+        err = self.failing(single_fixture, capsys, "generate")
+        assert err == (f"mvnlock: error: module .: cannot list versions of org.acme:text: "
+                       f"cannot create cache directory {listed}: File exists {self.TEXT_PATH}\n")
 
 
 class TestCiCheck:

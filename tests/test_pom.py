@@ -268,6 +268,72 @@ class TestInterpolation:
         assert spec.kind == "range" and spec.intervals[0].lower == "1.0"
 
 
+class TestKeepWhatIsUnchanged:
+    """Substitution reaches every slot of a declaration and leaves the rest as parsed."""
+
+    @staticmethod
+    def classified(dep: str, classifier: str) -> str:
+        return dep.replace("</dependency>", f"<classifier>{classifier}</classifier></dependency>")
+
+    def test_classifier_is_substituted(self):
+        model = parse_pom(pom_xml(
+            "g", "a", "1", properties={"kind": "tests"},
+            deps=(self.classified(dep_xml("x", "y", "1.0"), "${kind}"),),
+        ))
+        (dep,) = effective_pom(model).dependencies
+        assert dep.classifier == "tests"
+        assert dep._replace(classifier="${kind}") == model.dependencies[0]
+
+    def test_each_exclusion_slot_is_substituted(self):
+        model = parse_pom(pom_xml(
+            "g", "a", "1", properties={"eg": "org.drop", "ea": "gone"},
+            deps=(dep_xml("x", "y", "1.0",
+                          exclusions=(("${eg}", "lib"), ("org.other", "${ea}"),
+                                      ("${eg}", "${ea}"), ("org.kept", "kept"))),),
+        ))
+        (dep,) = effective_pom(model).dependencies
+        assert dep.exclusions == (("org.drop", "lib"), ("org.other", "gone"),
+                                  ("org.drop", "gone"), ("org.kept", "kept"))
+        assert dep.ga == ("x", "y") and dep.version_spec.pin == "1.0"
+
+    def test_managed_version_with_a_reference_fills_an_unversioned_dependency(self):
+        model = parse_pom(pom_xml(
+            "g", "a", "1", properties={"y.version": "[1.5,2.0)"},
+            dm=(dep_xml("x", "y", "${y.version}"),), deps=(dep_xml("x", "y"),),
+        ))
+        out = effective_pom(model)
+        (managed,) = out.dependency_management
+        (dep,) = out.dependencies
+        assert managed.version_spec == dep.version_spec == parse_version_spec("[1.5,2.0)")
+        assert dep.version_spec.kind == "range"
+
+    def test_declarations_without_a_reference_are_kept_as_parsed(self):
+        model = parse_pom(pom_xml(
+            "g", "a", "1", properties={"v": "2.0"},
+            deps=(dep_xml("x", "plain", "1.0", exclusions=(("o", "p"),)),
+                  dep_xml("x", "ref", "${v}")),
+            dm=(dep_xml("x", "managed", "3.0"),), plugins=(("x", "plug", "1.0"),),
+        ))
+        out = effective_pom(model)
+        assert out.dependencies[0] is model.dependencies[0]
+        assert out.dependencies[1] is not model.dependencies[1]
+        assert out.dependencies[1].version_spec.pin == "2.0"
+        assert out.dependency_management[0] is model.dependency_management[0]
+        assert out.plugins[0] is model.plugins[0]
+
+    def test_a_manifest_without_a_reference_builds_no_property_table(self, monkeypatch):
+        import mvnlock.pom as pom_module
+
+        def refused(*args):
+            raise AssertionError("property_table built for a manifest with no reference")
+
+        model = parse_pom(pom_xml(
+            "g", "a", "1", properties={"unused": "1.0"}, deps=(dep_xml("x", "y", "1.0"),),
+        ))
+        monkeypatch.setattr(pom_module, "property_table", refused)
+        assert effective_pom(model) == model
+
+
 class TestEffective:
     def parent_and_child(self):
         parent = parse_pom(pom_xml(

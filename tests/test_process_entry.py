@@ -99,12 +99,28 @@ def _module(thing) -> str:
     return (thing if isinstance(thing, types.FunctionType) else type(thing)).__module__
 
 
+def _drop_first_dependency(root: Path) -> str:
+    """Remove the first ``<dependency>`` of the first ``pom.xml`` that has one; its path."""
+    pom = next(p for p in sorted(root.rglob("pom.xml"))
+               if "<dependency>" in p.read_text(encoding="utf-8"))
+    text = pom.read_text(encoding="utf-8")
+    start = text.index("<dependency>")
+    end = text.index("</dependency>", start) + len("</dependency>")
+    pom.write_text(text[:start] + text[end:], encoding="utf-8")
+    return pom.relative_to(root).as_posix()
+
+
 def test_commands_build_no_reference_cycle(fixture, saved_cycles):
     common = ("--project", str(fixture.project_root), "--repo-url", fixture.repo.url,
               "--local-repo", str(fixture.cache_root))
     for command in (("generate",), ("generate",), ("validate", "--format", "machine"),
-                    ("freeze",)):  # a cold generate, then a warm one
+                    ("validate", "--offline", "--format", "machine"), ("freeze",),
+                    ("ci-check", "--changed-file", "src/main/java/A.java")):
+        # a cold generate, then a warm one; ci-check of an unrelated change validates
         assert main([command[0], *common, *command[1:]]) == 0
+    changed = _drop_first_dependency(fixture.project_root)
+    # ci-check of a changed manifest regenerates its lockfile
+    assert main(["ci-check", *common, "--changed-file", changed, "--format", "machine"]) == 3
     gc.collect()
     ours = {repr(thing) for thing in saved_cycles if _module(thing).split(".")[0] == "mvnlock"}
     assert sorted(ours) == []

@@ -109,8 +109,15 @@ class TestFetch:
             opened[self] += 1
             return real_path_open(self, *args, **kwargs)
 
+        def counting_os_open(file, *args, **kwargs):  # a cache hit is read by descriptor
+            fd = real_os_open(file, *args, **kwargs)
+            opened[Path(file)] += 1
+            return fd
+
+        real_os_open = os.open
         monkeypatch.setattr(repo_module, "open", counting_open, raising=False)
         monkeypatch.setattr(Path, "open", counting_path_open)
+        monkeypatch.setattr(os, "open", counting_os_open)
         pom = artifact_rel_path(GSON, "pom")
         text = client.fetch_pom(GSON)
         # cold: the remote copy is read once, and the cached copy is never read back

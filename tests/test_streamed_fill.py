@@ -186,8 +186,16 @@ def test_each_jar_is_read_once_per_run(tmp_path, monkeypatch):
             opened[self] += 1
         return real_path_open(self, *args, **kwargs)
 
+    def counting_os_open(file, *args, **kwargs):  # a cache hit is read by descriptor
+        fd = real_os_open(file, *args, **kwargs)
+        if str(file).endswith(".jar"):
+            opened[Path(file)] += 1
+        return fd
+
+    real_os_open = os.open
     monkeypatch.setattr(repo_module, "open", counting_open, raising=False)
     monkeypatch.setattr(Path, "open", counting_path_open)
+    monkeypatch.setattr(os, "open", counting_os_open)
 
     assert generate(fixture) == 0
     jars = sorted(p.relative_to(fixture.cache_root) for p in fixture.cache_root.rglob("*.jar"))
